@@ -357,7 +357,7 @@ fn main() -> ExitCode {
         let prog = pm.build_program(p_simpic, &machine, profile_steps, true);
         let mut factors = vec![1.0; PfSubPhase::Smoothing.id() as usize + 1];
         factors[PfSubPhase::Smoothing.id() as usize] = 1.0 / sell_speedup;
-        let scaled = scale_compute_by_phase(&prog, &factors);
+        let scaled = scale_compute_by_phase(&prog, &machine, &factors);
         let m1 = Replayer::new(machine.clone())
             .run(&scaled)
             .expect("scaled pressure program replays")
@@ -367,7 +367,7 @@ fn main() -> ExitCode {
     let measured_makespan = {
         let mut factors = vec![1.0; simpic_phase + 1];
         factors[simpic_phase] = meas_block_factor;
-        let scaled = scale_compute_by_phase(&program, &factors);
+        let scaled = scale_compute_by_phase(&program, &machine, &factors);
         Replayer::new(machine.clone())
             .run(&scaled)
             .expect("scaled coupled program replays")

@@ -348,13 +348,21 @@ pub fn validate_against_des(
 }
 
 /// Phase-aware compute rescaling of a program: every `Compute` /
-/// `ComputeSecs` op in phase `p` has its cost multiplied by
-/// `factor[p]` (missing entries mean 1.0). `Repeat` bodies are expanded
-/// so phase state threads through iterations correctly; the expanded
-/// program replays to the identical event stream when all factors are
-/// 1.0. This is how a what-if prediction gets its ground truth: scale
-/// the program, re-run the DES, compare makespans.
-pub fn scale_compute_by_phase(program: &TraceProgram, factor: &[f64]) -> TraceProgram {
+/// `ComputeSecs` op in phase `p` has its duration on `machine`
+/// multiplied by `factor[p]` (missing entries mean 1.0). A `Compute` op
+/// becomes the `ComputeSecs` of its roofline time times the factor,
+/// because scaling the kernel cost instead rounds differently from
+/// scaling the time. `Repeat` bodies are expanded so phase state threads
+/// through iterations correctly; the expanded program replays to the
+/// identical event stream when all factors are 1.0. This is how a
+/// what-if prediction gets its ground truth: scale the program, re-run
+/// the DES, compare makespans — bit for bit, since the DES then charges
+/// exactly the durations [`TaskGraph::what_if_makespan`] uses.
+pub fn scale_compute_by_phase(
+    program: &TraceProgram,
+    machine: &Machine,
+    factor: &[f64],
+) -> TraceProgram {
     let f = |p: u16| -> f64 { *factor.get(p as usize).unwrap_or(&1.0) };
     let mut out = TraceProgram::new(program.n_ranks());
     out.groups = program.groups.clone();
@@ -367,8 +375,7 @@ pub fn scale_compute_by_phase(program: &TraceProgram, factor: &[f64]) -> TracePr
                 ops.push(Op::Phase(p));
             }
             Op::Compute(cost) => {
-                let k = f(*phase);
-                ops.push(Op::Compute(cost * k));
+                ops.push(Op::ComputeSecs(machine.kernel_time(cost) * f(*phase)));
             }
             Op::ComputeSecs(secs) => {
                 ops.push(Op::ComputeSecs(secs * f(*phase)));
@@ -475,7 +482,7 @@ mod tests {
                 transfer_by_tag: vec![],
             })
             .unwrap();
-        let scaled = scale_compute_by_phase(&prog, &factors);
+        let scaled = scale_compute_by_phase(&prog, &machine, &factors);
         let measured = Replayer::new(machine).run(&scaled).unwrap().makespan();
         assert_eq!(predicted.to_bits(), measured.to_bits());
     }
@@ -484,7 +491,7 @@ mod tests {
     fn identity_scale_preserves_the_event_stream() {
         let machine = Machine::archer2();
         let prog = ring_program(4, 2);
-        let expanded = scale_compute_by_phase(&prog, &[]);
+        let expanded = scale_compute_by_phase(&prog, &machine, &[]);
         let (_, log_a) = Replayer::new(machine.clone()).run_logged(&prog).unwrap();
         let (_, log_b) = Replayer::new(machine).run_logged(&expanded).unwrap();
         assert_eq!(log_a, log_b);

@@ -2,7 +2,11 @@
 
 use proptest::prelude::*;
 
-use cpx_machine::{CollectiveKind, KernelCost, Machine, Op, Replayer, TraceProgram};
+use cpx_machine::{
+    build_task_graph, scale_compute_by_phase, validate_against_des, CollectiveKind, KernelCost,
+    Machine, Op, Replayer, TraceProgram,
+};
+use cpx_obs::Rescale;
 
 /// A random ring program: compute + neighbour exchange + allreduce.
 fn ring_program(n: usize, steps: u32, flops: f64, bytes: usize) -> TraceProgram {
@@ -31,8 +35,90 @@ fn ring_program(n: usize, steps: u32, flops: f64, bytes: usize) -> TraceProgram 
     p
 }
 
+/// A random program built from `steps`, each `(what, a, b, tag, x)`
+/// applied to the ranks it names in one global order: compute on rank
+/// `a`, a phase marker, a message `a → b`, two messages `a → b` received
+/// in the opposite order to their sends, or a collective on the world
+/// group or one of the sub-groups drawn from `masks`. Executing the
+/// steps in that order is a valid schedule, so the program never
+/// deadlocks, while ranks still block on messages from higher ranks.
+fn random_program(n: usize, masks: &[u64], steps: &[(u8, usize, usize, u32, f64)]) -> TraceProgram {
+    let mut p = TraceProgram::new(n);
+    let mut groups = vec![p.add_world_group()];
+    for &mask in masks {
+        let mut members: Vec<usize> = (0..n).filter(|r| mask >> r & 1 == 1).collect();
+        if members.is_empty() {
+            members.push(mask as usize % n);
+        }
+        groups.push(p.add_group(members));
+    }
+    for &(what, a, b, tag, x) in steps {
+        let a = a % n;
+        let b = if b % n == a { (a + 1) % n } else { b % n };
+        let bytes = (x * 1e5) as usize;
+        match what {
+            0 => p.rank(a).compute(KernelCost::new(1e6 + x * 1e9, x * 1e8)),
+            1 => p.rank(a).compute_secs(x * 1e-3),
+            2 => p.rank(a).phase((b % 4) as u16),
+            3 => {
+                p.rank(a).send(b, bytes, tag);
+                p.rank(b).recv(a, tag);
+            }
+            4 => {
+                p.rank(a).send(b, bytes, tag);
+                p.rank(a).send(b, 2 * bytes, tag + 3);
+                p.rank(b).recv(a, tag + 3);
+                p.rank(b).recv(a, tag);
+            }
+            _ => {
+                let group = groups[b % groups.len()];
+                let kind = [
+                    CollectiveKind::Barrier,
+                    CollectiveKind::Allreduce,
+                    CollectiveKind::Allgather,
+                    CollectiveKind::Broadcast,
+                ][tag as usize % 4];
+                for (k, r) in p.groups[group].clone().into_iter().enumerate() {
+                    p.rank(r).collective(kind, group, bytes * (k + 1));
+                }
+            }
+        }
+    }
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn task_graph_schedule_and_what_ifs_equal_the_des(
+        n in 2usize..10,
+        masks in proptest::collection::vec(0u64..1024, 0..3),
+        steps in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..3, 0.0f64..1.0), 1..60),
+        factors in proptest::collection::vec(0.25f64..4.0, 0..5),
+        cores_per_node in 2usize..5,
+    ) {
+        let program = random_program(n, &masks, &steps);
+        // Few cores per node, so messages cross inter-node links too.
+        let machine = Machine { cores_per_node, ..Machine::archer2() };
+        let names: Vec<String> = (0..4).map(|p| format!("phase {p}")).collect();
+        let graph = build_task_graph(&program, &machine, &names).unwrap();
+        let replayer = Replayer::new(machine.clone());
+
+        let sched = graph.schedule(&Rescale::none()).unwrap();
+        let des = replayer.run(&program).unwrap().makespan();
+        prop_assert_eq!(sched.makespan.to_bits(), des.to_bits());
+        let (_, log) = replayer.run_logged(&program).unwrap();
+        validate_against_des(&graph, &sched, &log).unwrap();
+
+        let what_if = Rescale { compute_by_phase: factors.clone(), ..Rescale::none() };
+        let predicted = graph.what_if_makespan(&what_if).unwrap();
+        let scaled = scale_compute_by_phase(&program, &machine, &factors);
+        let measured = replayer.run(&scaled).unwrap().makespan();
+        prop_assert_eq!(predicted.to_bits(), measured.to_bits());
+        let identity = graph.what_if_makespan(&Rescale::none()).unwrap();
+        prop_assert_eq!(identity.to_bits(), sched.makespan.to_bits());
+    }
 
     #[test]
     fn replay_is_deterministic(n in 2usize..32, steps in 1u32..8, bytes in 0usize..100_000) {

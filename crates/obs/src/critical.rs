@@ -13,7 +13,7 @@
 //!
 //! * [`TaskGraph::schedule`] — a forward pass that replays the
 //!   discrete-event semantics of `cpx_machine::des` *exactly* (same
-//!   float operations in a dependency-respecting order), so the
+//!   float operations, in the replayer's own run-to-block order), so the
 //!   baseline makespan bit-matches the replayer's;
 //! * [`TaskGraph::critical_path`] — the backward walk along binding
 //!   constraints from the finishing node, yielding a gap-free chain of
@@ -27,6 +27,8 @@
 //! optimisation) or any tag range's transfer time (a hypothetical
 //! interconnect/coupler change) and the new makespan — hence the
 //! end-to-end speedup — falls out without re-deriving the program.
+
+use std::collections::VecDeque;
 
 use crate::Json;
 
@@ -178,8 +180,148 @@ pub struct Schedule {
     /// Node achieving the makespan (lowest id on ties); `None` when the
     /// graph is empty.
     pub sink: Option<NodeId>,
-    /// A topological order (the order values were computed in).
+    /// The order the forward pass finished nodes in. It is a
+    /// permutation of the node ids in which every node comes after its
+    /// `prev` and its `matched_send`, and the members of a meet are
+    /// consecutive and come before any member's successor.
+    /// [`TaskGraph::slack`] walks it backwards and relies on all three.
     pub topo: Vec<NodeId>,
+}
+
+/// Why a [`TaskGraph`] cannot be scheduled. The forward pass checks the
+/// graph's structure first, so a malformed graph yields one of these
+/// instead of a panic or a hang.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GraphError {
+    /// `node`'s `field` (`"prev"`, `"matched_send"` or `"meet"`) names
+    /// an index past the end of the nodes or meets.
+    OutOfRange {
+        /// The node holding the bad index.
+        node: NodeId,
+        /// Which field holds it.
+        field: &'static str,
+        /// The index.
+        index: usize,
+    },
+    /// Two nodes name `node` as their `prev`: program order would fork.
+    Fork {
+        /// The node with two successors.
+        node: NodeId,
+    },
+    /// A receive without a matched send, or a matched send on a node
+    /// that is not a receive.
+    BadMatch {
+        /// The offending node.
+        node: NodeId,
+    },
+    /// Two receives are matched to the same send.
+    DoubleMatch {
+        /// The send both receives name.
+        send: NodeId,
+    },
+    /// Meet `meet` lists `node` although it is not a collective of that
+    /// meet or is listed twice, or `node` is a collective of `meet` that
+    /// its member list leaves out.
+    NotAMember {
+        /// The meet.
+        meet: usize,
+        /// The node.
+        node: NodeId,
+    },
+    /// `stuck` nodes never became ready: the dependencies form a cycle
+    /// (a receive matched to itself is the smallest one).
+    Cycle {
+        /// How many nodes never ran.
+        stuck: usize,
+    },
+    /// More nodes than the forward pass's 32-bit links can index.
+    TooLarge {
+        /// The graph's node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::OutOfRange { node, field, index } => {
+                write!(f, "node {node}: {field} {index} is out of range")
+            }
+            GraphError::Fork { node } => write!(f, "node {node} is the prev of two nodes"),
+            GraphError::BadMatch { node } => write!(
+                f,
+                "node {node}: every receive needs a matched send and no other node may have one"
+            ),
+            GraphError::DoubleMatch { send } => {
+                write!(f, "send {send} is matched by two receives")
+            }
+            GraphError::NotAMember { meet, node } => {
+                write!(f, "meet {meet} and node {node} disagree on membership")
+            }
+            GraphError::Cycle { stuck } => {
+                write!(f, "dependency cycle: {stuck} nodes never ran")
+            }
+            GraphError::TooLarge { nodes } => {
+                write!(f, "{nodes} nodes exceed the forward pass's 32-bit links")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
+/// A node id in the forward pass's per-node link arrays: 32 bits halve
+/// their memory traffic, and the pass is bound by memory traffic.
+type Link = u32;
+/// "No node" in a link array.
+const NONE: Link = Link::MAX;
+/// `wait[i]` once node `i` has run.
+const RAN: Link = Link::MAX - 1;
+
+/// What a forward pass keeps besides start and end times:
+/// [`TaskGraph::schedule`] keeps all of it, a what-if none.
+trait Keep {
+    fn dur(&mut self, i: NodeId, dt: f64);
+    fn transfer(&mut self, i: NodeId, t: f64);
+    fn meet_end(&mut self, meet: usize, t: f64);
+    fn ran(&mut self, i: NodeId);
+}
+
+impl Keep for () {
+    fn dur(&mut self, _: NodeId, _: f64) {}
+    fn transfer(&mut self, _: NodeId, _: f64) {}
+    fn meet_end(&mut self, _: usize, _: f64) {}
+    fn ran(&mut self, _: NodeId) {}
+}
+
+/// The [`Schedule`] fields beyond start and end times.
+struct Full {
+    eff_dur: Vec<f64>,
+    eff_transfer: Vec<f64>,
+    meet_end: Vec<f64>,
+    topo: Vec<NodeId>,
+}
+
+impl Keep for Full {
+    fn dur(&mut self, i: NodeId, dt: f64) {
+        self.eff_dur[i] = dt;
+    }
+    fn transfer(&mut self, i: NodeId, t: f64) {
+        self.eff_transfer[i] = t;
+    }
+    fn meet_end(&mut self, meet: usize, t: f64) {
+        self.meet_end[meet] = t;
+    }
+    fn ran(&mut self, i: NodeId) {
+        self.topo.push(i);
+    }
+}
+
+/// Node times from one forward pass.
+struct Times {
+    start: Vec<f64>,
+    end: Vec<f64>,
+    makespan: f64,
 }
 
 /// How a critical-path segment spends its time.
@@ -273,150 +415,227 @@ pub struct Attribution {
 }
 
 impl TaskGraph {
-    /// Forward pass under `rescale`. Errors if the graph has a
-    /// dependency cycle (e.g. mismatched send/recv matching).
-    pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, String> {
+    /// Forward pass under `rescale`: every node's start and end time,
+    /// the effective durations used, and the order nodes finished in.
+    /// Errors on a malformed graph (see [`GraphError`]).
+    pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, GraphError> {
         let n = self.nodes.len();
-        let mut start = vec![0.0f64; n];
-        let mut end = vec![0.0f64; n];
-        let mut eff_dur = vec![0.0f64; n];
-        let mut eff_transfer = vec![0.0f64; n];
-        let mut done = vec![false; n];
-        let mut topo = Vec::with_capacity(n);
-
-        // Dependency counts and dependents adjacency.
-        let mut deps = vec![0u32; n];
-        let mut dependents: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(p) = node.prev {
-                deps[i] += 1;
-                dependents[p].push(i);
-            }
-            if let Some(s) = node.matched_send {
-                deps[i] += 1;
-                dependents[s].push(i);
-            }
-        }
-
-        // Per-meet arrival bookkeeping.
-        let mut meet_arrived = vec![0usize; self.meets.len()];
-        let mut meet_end = vec![0.0f64; self.meets.len()];
-
-        let mut ready: Vec<NodeId> = (0..n).filter(|&i| deps[i] == 0).collect();
-        // Process in reverse so pop() yields ascending ids first —
-        // values are order-independent, this just keeps `topo` tidy.
-        ready.reverse();
-
-        fn release(
-            i: NodeId,
-            dependents: &[Vec<NodeId>],
-            deps: &mut [u32],
-            ready: &mut Vec<NodeId>,
-        ) {
-            for &d in &dependents[i] {
-                deps[d] -= 1;
-                if deps[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-
-        while let Some(i) = ready.pop() {
-            if done[i] {
-                continue;
-            }
-            let node = &self.nodes[i];
-            let s = node.prev.map(|p| end[p]).unwrap_or(0.0);
-            start[i] = s;
-            match node.kind {
-                TaskKind::Compute => {
-                    let dt = node.dur * rescale.compute_factor(node.phase);
-                    eff_dur[i] = dt;
-                    end[i] = s + dt;
-                    done[i] = true;
-                    topo.push(i);
-                    release(i, &dependents, &mut deps, &mut ready);
-                }
-                TaskKind::Send { .. } => {
-                    eff_dur[i] = node.dur;
-                    end[i] = s + node.dur;
-                    done[i] = true;
-                    topo.push(i);
-                    release(i, &dependents, &mut deps, &mut ready);
-                }
-                TaskKind::Recv { tag, .. } => {
-                    let send = node
-                        .matched_send
-                        .ok_or_else(|| format!("recv node {i} has no matched send"))?;
-                    let transfer = node.transfer * rescale.transfer_factor(tag);
-                    eff_transfer[i] = transfer;
-                    // The DES float sequence exactly: arrival computed
-                    // at send time, wait = (arrival - clock).max(0),
-                    // clock += wait.
-                    let arrival = start[send] + transfer;
-                    end[i] = s + (arrival - s).max(0.0);
-                    done[i] = true;
-                    topo.push(i);
-                    release(i, &dependents, &mut deps, &mut ready);
-                }
-                TaskKind::Collective { meet } => {
-                    meet_arrived[meet] += 1;
-                    let m = &self.meets[meet];
-                    if meet_arrived[meet] == m.members.len() {
-                        // Fold entries in member order, from 0.0, like
-                        // the DES replayer's running max.
-                        let mut base = 0.0f64;
-                        for &mem in &m.members {
-                            base = base.max(start[mem]);
-                        }
-                        meet_end[meet] = base + m.cost;
-                        for &mem in &m.members {
-                            end[mem] = meet_end[meet];
-                            done[mem] = true;
-                            topo.push(mem);
-                        }
-                        for &mem in &m.members {
-                            release(mem, &dependents, &mut deps, &mut ready);
-                        }
-                    }
-                    // else: the member's end resolves when the meet
-                    // completes; it is not released yet.
-                }
-            }
-        }
-
-        if topo.len() != n {
-            let stuck = (0..n).filter(|&i| !done[i]).count();
-            return Err(format!(
-                "dependency cycle or unmatched communication: {stuck} of {n} nodes never ran"
-            ));
-        }
-
-        let mut makespan = 0.0f64;
-        let mut sink = None;
-        for (i, &e) in end.iter().enumerate() {
-            if e > makespan {
-                makespan = e;
-                sink = Some(i);
-            } else if sink.is_none() && !self.nodes.is_empty() {
-                sink = Some(0);
-            }
-        }
+        let mut full = Full {
+            eff_dur: vec![0.0; n],
+            eff_transfer: vec![0.0; n],
+            meet_end: vec![0.0; self.meets.len()],
+            topo: Vec::with_capacity(n),
+        };
+        let Times {
+            start,
+            end,
+            makespan,
+        } = self.forward(rescale, &mut full)?;
+        // Lowest id on ties; node 0 when nothing ends after time 0.
+        let sink = (n > 0).then(|| {
+            end.iter()
+                .position(|&e| e > 0.0 && e == makespan)
+                .unwrap_or(0)
+        });
         Ok(Schedule {
             start,
             end,
-            eff_dur,
-            eff_transfer,
-            meet_end,
+            eff_dur: full.eff_dur,
+            eff_transfer: full.eff_transfer,
+            meet_end: full.meet_end,
             makespan,
             sink,
-            topo,
+            topo: full.topo,
         })
     }
 
     /// New makespan under `rescale` — the what-if engine's core query.
-    pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, String> {
-        Ok(self.schedule(rescale)?.makespan)
+    /// The same forward pass as [`TaskGraph::schedule`], keeping only
+    /// start and end times.
+    pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, GraphError> {
+        Ok(self.forward(rescale, &mut ())?.makespan)
+    }
+
+    /// The forward pass, in the run-to-block order of
+    /// `cpx_machine::des`: run each program-order chain until it reaches
+    /// a receive whose send has not run or a collective whose meet is
+    /// still missing members, and resume it when that send runs or the
+    /// last member arrives. Every node evaluates the replayer's float
+    /// expressions after the same predecessors as in any other order,
+    /// so the visit order cannot change a bit.
+    fn forward(&self, rescale: &Rescale, keep: &mut impl Keep) -> Result<Times, GraphError> {
+        let n = self.nodes.len();
+        let (next, mut runnable) = self.chains()?;
+        let mut start = vec![0.0f64; n];
+        let mut end = vec![0.0f64; n];
+        // Per node: NONE before it runs, RAN after, and in between the
+        // receive parked on it, if any.
+        let mut wait = vec![NONE; n];
+        let mut missing: Vec<usize> = self.meets.iter().map(|m| m.members.len()).collect();
+        let mut makespan = 0.0f64;
+        let mut ran = 0usize;
+
+        macro_rules! finish {
+            ($i:expr, $e:expr) => {{
+                let (i, e) = ($i, $e);
+                end[i] = e;
+                keep.ran(i);
+                ran += 1;
+                if e > makespan {
+                    makespan = e;
+                }
+                let parked = std::mem::replace(&mut wait[i], RAN);
+                if parked != NONE {
+                    runnable.push_back(parked as NodeId);
+                }
+            }};
+        }
+
+        while let Some(mut i) = runnable.pop_front() {
+            loop {
+                let node = &self.nodes[i];
+                let s = node.prev.map_or(0.0, |p| end[p]);
+                start[i] = s;
+                let e = match node.kind {
+                    TaskKind::Compute => {
+                        let dt = node.dur * rescale.compute_factor(node.phase);
+                        keep.dur(i, dt);
+                        s + dt
+                    }
+                    TaskKind::Send { .. } => {
+                        keep.dur(i, node.dur);
+                        s + node.dur
+                    }
+                    TaskKind::Recv { tag, .. } => {
+                        let send = node.matched_send.expect("chains() checked the match");
+                        if wait[send] != RAN {
+                            // Blocked: `finish!(send, ..)` resumes it.
+                            wait[send] = i as Link;
+                            break;
+                        }
+                        let transfer = node.transfer * rescale.transfer_factor(tag);
+                        keep.transfer(i, transfer);
+                        // The DES float sequence exactly: arrival computed
+                        // at send time, wait = (arrival - clock).max(0),
+                        // clock += wait.
+                        let arrival = start[send] + transfer;
+                        s + (arrival - s).max(0.0)
+                    }
+                    TaskKind::Collective { meet } => {
+                        missing[meet] -= 1;
+                        if missing[meet] > 0 {
+                            // Blocked: the last member to arrive resumes it.
+                            break;
+                        }
+                        // Fold entries in member order, from 0.0, like
+                        // the DES replayer's running max.
+                        let m = &self.meets[meet];
+                        let base = m.members.iter().fold(0.0f64, |b, &mem| b.max(start[mem]));
+                        let exit = base + m.cost;
+                        keep.meet_end(meet, exit);
+                        for &mem in &m.members {
+                            if mem != i {
+                                finish!(mem, exit);
+                                if next[mem] != NONE {
+                                    runnable.push_back(next[mem] as NodeId);
+                                }
+                            }
+                        }
+                        exit
+                    }
+                };
+                finish!(i, e);
+                if next[i] == NONE {
+                    break;
+                }
+                i = next[i] as NodeId;
+            }
+        }
+
+        if ran < n {
+            return Err(GraphError::Cycle { stuck: n - ran });
+        }
+        Ok(Times {
+            start,
+            end,
+            makespan,
+        })
+    }
+
+    /// Every node's program-order successor ([`NONE`] at a chain's end)
+    /// and the chain heads in id order, after checking the structure
+    /// the forward pass relies on: indices in range, no node the `prev`
+    /// of two nodes, a matched send on every receive and on nothing
+    /// else, no send matched twice, and each meet listing exactly the
+    /// collective nodes of that meet, once each.
+    fn chains(&self) -> Result<(Vec<Link>, VecDeque<NodeId>), GraphError> {
+        const LISTED: u8 = 1;
+        const MATCHED: u8 = 2;
+        let n = self.nodes.len();
+        if n > RAN as usize {
+            return Err(GraphError::TooLarge { nodes: n });
+        }
+        let mut mark = vec![0u8; n];
+        for (m, meet) in self.meets.iter().enumerate() {
+            for &node in &meet.members {
+                let of_meet = matches!(
+                    self.nodes.get(node).map(|x| &x.kind),
+                    Some(&TaskKind::Collective { meet }) if meet == m
+                );
+                if !of_meet || mark[node] & LISTED != 0 {
+                    return Err(GraphError::NotAMember { meet: m, node });
+                }
+                mark[node] |= LISTED;
+            }
+        }
+        let mut next = vec![NONE; n];
+        let mut heads = VecDeque::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            match node.prev {
+                None => heads.push_back(i),
+                Some(p) => {
+                    let slot = next.get_mut(p).ok_or(GraphError::OutOfRange {
+                        node: i,
+                        field: "prev",
+                        index: p,
+                    })?;
+                    if *slot != NONE {
+                        return Err(GraphError::Fork { node: p });
+                    }
+                    *slot = i as Link;
+                }
+            }
+            match (&node.kind, node.matched_send) {
+                (TaskKind::Recv { .. }, Some(send)) => {
+                    let m = mark.get_mut(send).ok_or(GraphError::OutOfRange {
+                        node: i,
+                        field: "matched_send",
+                        index: send,
+                    })?;
+                    if *m & MATCHED != 0 {
+                        return Err(GraphError::DoubleMatch { send });
+                    }
+                    *m |= MATCHED;
+                }
+                (TaskKind::Recv { .. }, None) | (_, Some(_)) => {
+                    return Err(GraphError::BadMatch { node: i });
+                }
+                (&TaskKind::Collective { meet }, None) => {
+                    if meet >= self.meets.len() {
+                        return Err(GraphError::OutOfRange {
+                            node: i,
+                            field: "meet",
+                            index: meet,
+                        });
+                    }
+                    if mark[i] & LISTED == 0 {
+                        return Err(GraphError::NotAMember { meet, node: i });
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok((next, heads))
     }
 
     /// Extract the critical path of `sched` by walking binding
@@ -869,11 +1088,24 @@ mod tests {
         assert_eq!(slack[1], 0.0);
     }
 
-    #[test]
-    fn collective_meet_charges_last_arrival_plus_cost() {
-        // Two ranks compute 1s and 4s, then allreduce costing 0.25.
-        let mut g = TaskGraph {
-            nodes: vec![compute(0, 0, 1.0, None), compute(1, 0, 4.0, None)],
+    /// Two ranks compute 1s and 4s, then an allreduce costing 0.25.
+    fn two_rank_meet() -> TaskGraph {
+        let member = |rank: usize| TaskNode {
+            rank,
+            phase: 0,
+            kind: TaskKind::Collective { meet: 0 },
+            dur: 0.0,
+            transfer: 0.0,
+            prev: Some(rank),
+            matched_send: None,
+        };
+        TaskGraph {
+            nodes: vec![
+                compute(0, 0, 1.0, None),
+                compute(1, 0, 4.0, None),
+                member(0),
+                member(1),
+            ],
             meets: vec![Meet {
                 members: vec![2, 3],
                 cost: 0.25,
@@ -881,25 +1113,12 @@ mod tests {
             }],
             n_ranks: 2,
             phase_names: vec!["(untracked)".into()],
-        };
-        g.nodes.push(TaskNode {
-            rank: 0,
-            phase: 0,
-            kind: TaskKind::Collective { meet: 0 },
-            dur: 0.0,
-            transfer: 0.0,
-            prev: Some(0),
-            matched_send: None,
-        });
-        g.nodes.push(TaskNode {
-            rank: 1,
-            phase: 0,
-            kind: TaskKind::Collective { meet: 0 },
-            dur: 0.0,
-            transfer: 0.0,
-            prev: Some(1),
-            matched_send: None,
-        });
+        }
+    }
+
+    #[test]
+    fn collective_meet_charges_last_arrival_plus_cost() {
+        let g = two_rank_meet();
         let s = g.schedule(&Rescale::none()).unwrap();
         assert_eq!(s.end[2], 4.25);
         assert_eq!(s.end[3], 4.25);
@@ -919,14 +1138,238 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_recv_is_an_error_not_a_hang() {
-        let mut g = two_rank_graph();
-        g.nodes[3].matched_send = None;
-        // With no matched send the recv has one dependency fewer and
-        // schedules immediately — builders must match first. Force the
-        // cycle case instead: make the recv depend on itself.
-        g.nodes[3].matched_send = Some(3);
-        assert!(g.schedule(&Rescale::none()).is_err());
+    fn malformed_graphs_are_typed_errors_not_panics_or_hangs() {
+        let check = |g: &TaskGraph, want: GraphError| {
+            assert_eq!(g.schedule(&Rescale::none()).unwrap_err(), want);
+            assert_eq!(g.what_if_makespan(&Rescale::none()).unwrap_err(), want);
+        };
+        let edit = |f: &dyn Fn(&mut TaskGraph)| {
+            let mut g = two_rank_graph();
+            f(&mut g);
+            g
+        };
+        let edit_meet = |f: &dyn Fn(&mut TaskGraph)| {
+            let mut g = two_rank_meet();
+            f(&mut g);
+            g
+        };
+
+        // Indices out of range.
+        check(
+            &edit(&|g| g.nodes[1].prev = Some(9)),
+            GraphError::OutOfRange {
+                node: 1,
+                field: "prev",
+                index: 9,
+            },
+        );
+        check(
+            &edit(&|g| g.nodes[3].matched_send = Some(9)),
+            GraphError::OutOfRange {
+                node: 3,
+                field: "matched_send",
+                index: 9,
+            },
+        );
+        check(
+            &edit_meet(&|g| {
+                g.nodes[3].kind = TaskKind::Collective { meet: 5 };
+                g.meets[0].members = vec![2];
+            }),
+            GraphError::OutOfRange {
+                node: 3,
+                field: "meet",
+                index: 5,
+            },
+        );
+        // A node that is the prev of two nodes.
+        check(
+            &edit(&|g| g.nodes[2].prev = Some(0)),
+            GraphError::Fork { node: 0 },
+        );
+        // A receive without a send, a matched send on a compute node,
+        // and two receives matched to one send.
+        check(
+            &edit(&|g| g.nodes[3].matched_send = None),
+            GraphError::BadMatch { node: 3 },
+        );
+        check(
+            &edit(&|g| g.nodes[2].matched_send = Some(1)),
+            GraphError::BadMatch { node: 2 },
+        );
+        check(
+            &edit(&|g| {
+                let mut again = g.nodes[3].clone();
+                again.prev = Some(3);
+                g.nodes.push(again);
+            }),
+            GraphError::DoubleMatch { send: 1 },
+        );
+        // Meet members that are not collectives of that meet, a member
+        // listed twice, and a collective its meet leaves out.
+        for (members, node) in [
+            (vec![2, 0], 0),
+            (vec![2, 9], 9),
+            (vec![2, 2], 2),
+            (vec![2], 3),
+        ] {
+            check(
+                &edit_meet(&|g| g.meets[0].members = members.clone()),
+                GraphError::NotAMember { meet: 0, node },
+            );
+        }
+        // A self-matched receive, and a cycle across two ranks: each
+        // rank receives before it sends to the other.
+        check(
+            &edit(&|g| g.nodes[3].matched_send = Some(3)),
+            GraphError::Cycle { stuck: 1 },
+        );
+        check(
+            &edit(&|g| {
+                g.nodes[0].kind = TaskKind::Recv { src: 1, tag: 7 };
+                g.nodes[0].matched_send = Some(3);
+                g.nodes[2].kind = TaskKind::Recv { src: 0, tag: 7 };
+                g.nodes[2].matched_send = Some(1);
+                g.nodes[3].kind = TaskKind::Send {
+                    dst: 0,
+                    tag: 7,
+                    bytes: 8,
+                };
+                g.nodes[3].matched_send = None;
+            }),
+            GraphError::Cycle { stuck: 4 },
+        );
+    }
+
+    /// `n` ranks run `iters` rounds of compute, send to the next rank,
+    /// receive from the previous one and allreduce, with ids contiguous
+    /// per rank as `cpx_machine::build_task_graph` lays them out. Rank
+    /// 0's receive waits on the last rank's send, so its chain blocks.
+    fn ring_graph(n: usize, iters: usize) -> TaskGraph {
+        let id = |rank: usize, it: usize, k: usize| rank * 4 * iters + 4 * it + k;
+        let mut g = TaskGraph {
+            n_ranks: n,
+            phase_names: vec!["(untracked)".into()],
+            ..TaskGraph::default()
+        };
+        for rank in 0..n {
+            for it in 0..iters {
+                let node = |k: usize, kind: TaskKind, dur: f64| TaskNode {
+                    rank,
+                    phase: 0,
+                    kind,
+                    dur,
+                    transfer: 0.0,
+                    prev: (4 * it + k > 0).then(|| id(rank, it, k) - 1),
+                    matched_send: None,
+                };
+                let src = (rank + n - 1) % n;
+                g.nodes.push(node(0, TaskKind::Compute, 1.0 + rank as f64));
+                g.nodes.push(node(
+                    1,
+                    TaskKind::Send {
+                        dst: (rank + 1) % n,
+                        tag: 0,
+                        bytes: 8,
+                    },
+                    0.5,
+                ));
+                g.nodes.push(TaskNode {
+                    transfer: 0.25,
+                    matched_send: Some(id(src, it, 1)),
+                    ..node(2, TaskKind::Recv { src, tag: 0 }, 0.0)
+                });
+                g.nodes
+                    .push(node(3, TaskKind::Collective { meet: it }, 0.0));
+            }
+        }
+        g.meets = (0..iters)
+            .map(|it| Meet {
+                members: (0..n).map(|rank| id(rank, it, 3)).collect(),
+                cost: 0.125,
+                label: "allreduce",
+            })
+            .collect();
+        g
+    }
+
+    /// Two lanes whose node ids interleave, with a barrier after every
+    /// step: the shape of `critical_study`'s STC overlap graph.
+    fn interleaved_lanes(steps: &[(f64, f64)]) -> TaskGraph {
+        let mut g = TaskGraph {
+            n_ranks: 2,
+            phase_names: vec!["(untracked)".into()],
+            ..TaskGraph::default()
+        };
+        let mut prev = [None, None];
+        for &(a, b) in steps {
+            for (lane, dur) in [(0, a), (1, b)] {
+                g.nodes.push(compute(lane, 0, dur, prev[lane]));
+                prev[lane] = Some(g.nodes.len() - 1);
+            }
+            let meet = g.meets.len();
+            let mut members = Vec::new();
+            for (lane, p) in prev.iter_mut().enumerate() {
+                g.nodes.push(TaskNode {
+                    rank: lane,
+                    phase: 0,
+                    kind: TaskKind::Collective { meet },
+                    dur: 0.0,
+                    transfer: 0.0,
+                    prev: *p,
+                    matched_send: None,
+                });
+                *p = Some(g.nodes.len() - 1);
+                members.push(g.nodes.len() - 1);
+            }
+            g.meets.push(Meet {
+                members,
+                cost: 0.0,
+                label: "barrier",
+            });
+        }
+        g
+    }
+
+    /// Check the contract documented on [`Schedule::topo`].
+    fn assert_topo_contract(g: &TaskGraph, s: &Schedule) {
+        let n = g.nodes.len();
+        let mut pos = vec![usize::MAX; n];
+        for (k, &i) in s.topo.iter().enumerate() {
+            assert_eq!(pos[i], usize::MAX, "node {i} appears twice");
+            pos[i] = k;
+        }
+        assert_eq!(s.topo.len(), n, "topo is not a permutation");
+        for (i, node) in g.nodes.iter().enumerate() {
+            for dep in [node.prev, node.matched_send].into_iter().flatten() {
+                assert!(pos[dep] < pos[i], "node {i} comes before {dep}");
+            }
+        }
+        for (m, meet) in g.meets.iter().enumerate() {
+            let first = meet.members.iter().map(|&x| pos[x]).min().unwrap();
+            let last = meet.members.iter().map(|&x| pos[x]).max().unwrap();
+            assert_eq!(last - first + 1, meet.members.len(), "meet {m} is split");
+            for (i, node) in g.nodes.iter().enumerate() {
+                if node.prev.is_some_and(|p| meet.members.contains(&p)) {
+                    assert!(pos[i] > last, "node {i} precedes meet {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topo_contract_holds_on_a_ring_and_on_interleaved_lanes() {
+        let ring = ring_graph(5, 3);
+        let s = ring.schedule(&Rescale::none()).unwrap();
+        assert_topo_contract(&ring, &s);
+        // The walk runs rank 0 until its receive blocks, so the order is
+        // not plain id order.
+        assert_ne!(s.topo, (0..ring.nodes.len()).collect::<Vec<_>>());
+
+        let lanes = interleaved_lanes(&[(1.0, 2.0), (3.0, 0.5), (0.25, 0.25)]);
+        let s = lanes.schedule(&Rescale::none()).unwrap();
+        assert_topo_contract(&lanes, &s);
+        assert_eq!(s.makespan, 2.0 + 3.0 + 0.25);
     }
 
     #[test]
