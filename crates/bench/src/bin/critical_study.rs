@@ -44,7 +44,7 @@ use cpx_machine::{
 };
 use cpx_obs::{
     blend_factor, critical_chrome_trace_json, path_report, Json, Meet, Rescale, SegClass,
-    TaskGraph, TaskKind, TaskNode,
+    TaskGraph, TaskGraphParts, TaskKind, TaskNode,
 };
 use cpx_pressure::{PfSubPhase, PressureConfig, PressurePhase, PressureTraceModel};
 
@@ -142,10 +142,10 @@ fn mgcfd_gs_share(cfg: &cpx_mgcfd::MgCfdConfig, machine: &Machine) -> f64 {
 /// spray, with a zero-cost barrier after every step. Its makespan is
 /// the overlapped virtual time; the serial time is the plain sum.
 fn stc_overlap_graph(per_step: &[(f64, f64)]) -> TaskGraph {
-    let mut g = TaskGraph {
+    let mut g = TaskGraphParts {
         n_ranks: 2,
         phase_names: vec!["(untracked)".to_string(), "stc".to_string()],
-        ..TaskGraph::default()
+        ..TaskGraphParts::default()
     };
     let mut prev = [None, None];
     for &(spray, solver) in per_step {
@@ -184,7 +184,7 @@ fn stc_overlap_graph(per_step: &[(f64, f64)]) -> TaskGraph {
             label: "barrier",
         });
     }
-    g
+    g.into()
 }
 
 #[allow(clippy::too_many_lines)]

@@ -15,7 +15,7 @@
 //! schedule agree **bit for bit**; [`validate_against_des`] checks that
 //! against a logged event stream, event by event.
 
-use cpx_obs::{Meet, Schedule, TaskGraph, TaskKind, TaskNode};
+use cpx_obs::{Meet, Schedule, TaskGraph, TaskGraphParts, TaskKind, TaskNode};
 
 use crate::collectives::collective_time;
 use crate::des::{DesEvent, DesEventKind};
@@ -126,7 +126,7 @@ pub fn build_task_graph(
                                 bytes: bytes as u64,
                             },
                             dur: machine.send_overhead,
-                            transfer: machine.p2p_time(rank, dst, bytes),
+                            transfer: 0.0,
                             prev: *prev,
                             matched_send: None,
                         });
@@ -221,8 +221,12 @@ pub fn build_task_graph(
                 .ok_or_else(|| {
                     format!("rank {rank}: recv from {src} tag {tag} has no matching send")
                 })?;
+            // The wire time lives on the receive only; the send keeps 0.
+            let TaskKind::Send { bytes, .. } = nodes[send].kind else {
+                unreachable!("send queues hold send nodes");
+            };
             nodes[id].matched_send = Some(send);
-            nodes[id].transfer = nodes[send].transfer;
+            nodes[id].transfer = machine.p2p_time(src, rank, bytes as usize);
         }
     }
     if let Some(((src, dst, tag), _)) = send_queues.iter().find(|(_, q)| !q.is_empty()) {
@@ -264,12 +268,13 @@ pub fn build_task_graph(
         }
     }
 
-    Ok(TaskGraph {
+    Ok(TaskGraphParts {
         nodes,
         meets,
         n_ranks: n,
         phase_names: phase_names.to_vec(),
-    })
+    }
+    .into())
 }
 
 /// Check a baseline schedule against a logged DES event stream, event
@@ -449,6 +454,31 @@ mod tests {
         let (out, log) = Replayer::new(machine).run_logged(&prog).unwrap();
         assert_eq!(sched.makespan.to_bits(), out.makespan().to_bits());
         validate_against_des(&graph, &sched, &log).unwrap();
+    }
+
+    #[test]
+    fn only_receives_carry_the_wire_time() {
+        let machine = Machine::archer2();
+        let prog = ring_program(6, 2);
+        let graph = build_task_graph(&prog, &machine, &names()).unwrap();
+        let mut receives = 0;
+        for node in &graph.nodes {
+            match node.kind {
+                TaskKind::Recv { src, .. } => {
+                    let send = &graph.nodes[node.matched_send.unwrap()];
+                    let TaskKind::Send { dst, bytes, .. } = send.kind else {
+                        panic!("receive matched to {:?}", send.kind);
+                    };
+                    assert_eq!((send.rank, dst), (src, node.rank));
+                    let wire = machine.p2p_time(src, dst, bytes as usize);
+                    assert_eq!(node.transfer.to_bits(), wire.to_bits());
+                    receives += 1;
+                }
+                // Sends included: the wire time lives on the receive.
+                _ => assert_eq!(node.transfer, 0.0),
+            }
+        }
+        assert_eq!(receives, 6 * 2);
     }
 
     #[test]

@@ -410,7 +410,7 @@ mod tests {
         use crate::critical::{PathSegment, Rescale};
         // Two-rank graph: compute then a message bound; the path has a
         // compute and a transfer segment.
-        let g = TaskGraph {
+        let g = TaskGraph::from(crate::TaskGraphParts {
             nodes: vec![
                 crate::TaskNode {
                     rank: 0,
@@ -434,7 +434,7 @@ mod tests {
             meets: vec![],
             n_ranks: 2,
             phase_names: vec!["(untracked)".into(), "solve \"x\"".into()],
-        };
+        });
         let sched = g.schedule(&Rescale::none()).unwrap();
         let path = g.critical_path(&sched);
         assert!(!path.segments.is_empty());

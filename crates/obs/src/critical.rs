@@ -9,9 +9,15 @@
 //! `cpx-machine`, or a `.cpxr` event trace in `cpx-replay`); nothing
 //! here touches a hot path.
 //!
+//! A builder fills a [`TaskGraphParts`] and freezes it into a
+//! [`TaskGraph`], which can no longer be edited. The first schedule or
+//! what-if compiles the frozen graph into a sweep plan: its nodes in the
+//! order `cpx_machine::des` visits them, laid out as flat arrays. Every
+//! later call reuses the plan.
+//!
 //! Three analyses run on a graph:
 //!
-//! * [`TaskGraph::schedule`] — a forward pass that replays the
+//! * [`TaskGraph::schedule`] — one sweep over the plan that replays the
 //!   discrete-event semantics of `cpx_machine::des` *exactly* (same
 //!   float operations, in the replayer's own run-to-block order), so the
 //!   baseline makespan bit-matches the replayer's;
@@ -22,17 +28,19 @@
 //! * [`TaskGraph::slack`] — a latest-end pass giving, per node, how far
 //!   it could slip without moving the makespan (0 on the critical path).
 //!
-//! The **what-if engine** is the forward pass parameterised by a
+//! The **what-if engine** is the same sweep parameterised by a
 //! [`Rescale`]: scale any phase's compute cost (a hypothetical kernel
 //! optimisation) or any tag range's transfer time (a hypothetical
 //! interconnect/coupler change) and the new makespan — hence the
 //! end-to-end speedup — falls out without re-deriving the program.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use crate::Json;
 
-/// Index of a node in [`TaskGraph::nodes`].
+/// Index of a node in [`TaskGraphParts::nodes`].
 pub type NodeId = usize;
 
 /// What a node does. Durations live on the node ([`TaskNode::dur`]) for
@@ -61,9 +69,9 @@ pub enum TaskKind {
         tag: u32,
     },
     /// One member's participation in a collective; the shared occurrence
-    /// is [`TaskGraph::meets`]`[meet]`.
+    /// is [`TaskGraphParts::meets`]`[meet]`.
     Collective {
-        /// Index into [`TaskGraph::meets`].
+        /// Index into [`TaskGraphParts::meets`].
         meet: usize,
     },
 }
@@ -101,9 +109,10 @@ pub struct Meet {
     pub label: &'static str,
 }
 
-/// The causal graph of one run.
+/// The parts of a [`TaskGraph`], filled in by a builder and then frozen
+/// with [`TaskGraph::from`].
 #[derive(Debug, Clone, Default)]
-pub struct TaskGraph {
+pub struct TaskGraphParts {
     /// All nodes; program order within a rank, ranks concatenated.
     pub nodes: Vec<TaskNode>,
     /// Collective occurrences referenced by `TaskKind::Collective`.
@@ -112,6 +121,77 @@ pub struct TaskGraph {
     pub n_ranks: usize,
     /// Phase id → display name (index 0 = untracked).
     pub phase_names: Vec<String>,
+}
+
+/// The causal graph of one run, frozen: its [`TaskGraphParts`] are
+/// readable through `Deref` but cannot be changed. The first
+/// [`TaskGraph::schedule`] or [`TaskGraph::what_if_makespan`] compiles
+/// the graph into a sweep plan and caches it; since no edge or cost can
+/// change afterwards, the plan cannot go stale.
+///
+/// ```
+/// use cpx_obs::{Rescale, TaskGraph, TaskGraphParts, TaskKind, TaskNode};
+///
+/// let graph = TaskGraph::from(TaskGraphParts {
+///     nodes: vec![TaskNode {
+///         rank: 0,
+///         phase: 0,
+///         kind: TaskKind::Compute,
+///         dur: 2.0,
+///         transfer: 0.0,
+///         prev: None,
+///         matched_send: None,
+///     }],
+///     n_ranks: 1,
+///     ..TaskGraphParts::default()
+/// });
+/// assert_eq!(graph.nodes.len(), 1);
+/// assert_eq!(graph.schedule(&Rescale::none()).unwrap().end, [2.0]);
+/// ```
+///
+/// Editing a built graph does not compile, neither a node's fields:
+///
+/// ```compile_fail,E0596
+/// # use cpx_obs::{TaskGraph, TaskGraphParts};
+/// let mut graph = TaskGraph::from(TaskGraphParts::default());
+/// graph.nodes[0].dur = 1.0;
+/// ```
+///
+/// nor the node list:
+///
+/// ```compile_fail,E0596
+/// # use cpx_obs::{TaskGraph, TaskGraphParts};
+/// let mut graph = TaskGraph::from(TaskGraphParts::default());
+/// let node = graph.nodes[0].clone();
+/// graph.nodes.push(node);
+/// ```
+#[derive(Clone)]
+pub struct TaskGraph {
+    parts: TaskGraphParts,
+    plan: OnceLock<Result<Plan, GraphError>>,
+}
+
+impl From<TaskGraphParts> for TaskGraph {
+    fn from(parts: TaskGraphParts) -> TaskGraph {
+        TaskGraph {
+            parts,
+            plan: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for TaskGraph {
+    type Target = TaskGraphParts;
+
+    fn deref(&self) -> &TaskGraphParts {
+        &self.parts
+    }
+}
+
+impl std::fmt::Debug for TaskGraph {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TaskGraph").field(&self.parts).finish()
+    }
 }
 
 /// A what-if transform applied during [`TaskGraph::schedule`].
@@ -151,6 +231,18 @@ impl Rescale {
         }
         1.0
     }
+
+    /// Multiplier for the unscaled cost of a node with `step` and `key`
+    /// (see [`Step::of`]): send overheads and collectives are never
+    /// rescaled.
+    #[inline]
+    fn factor(&self, step: Step, key: u32) -> f64 {
+        match step {
+            Step::Compute => self.compute_factor(key as u16),
+            Step::Recv => self.transfer_factor(key),
+            Step::Send | Step::Meet => 1.0,
+        }
+    }
 }
 
 /// Blend a kernel-level speedup into a phase-level compute multiplier:
@@ -161,18 +253,15 @@ pub fn blend_factor(share: f64, speedup: f64) -> f64 {
     1.0 - share + share / speedup
 }
 
-/// The result of a forward pass: per-node times plus bookkeeping the
-/// backward analyses need.
+/// The result of a sweep: per-node times, and the transform they were
+/// computed under. The backward analyses take it with the graph it came
+/// from.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     /// Node start times.
     pub start: Vec<f64>,
     /// Node end times.
     pub end: Vec<f64>,
-    /// Effective rigid duration used per node (after rescale).
-    pub eff_dur: Vec<f64>,
-    /// Effective wire transfer used per `Recv` node (after rescale).
-    pub eff_transfer: Vec<f64>,
     /// Exit time per meet.
     pub meet_end: Vec<f64>,
     /// Max end over all nodes (0.0 for an empty graph).
@@ -180,17 +269,15 @@ pub struct Schedule {
     /// Node achieving the makespan (lowest id on ties); `None` when the
     /// graph is empty.
     pub sink: Option<NodeId>,
-    /// The order the forward pass finished nodes in. It is a
-    /// permutation of the node ids in which every node comes after its
-    /// `prev` and its `matched_send`, and the members of a meet are
-    /// consecutive and come before any member's successor.
-    /// [`TaskGraph::slack`] walks it backwards and relies on all three.
-    pub topo: Vec<NodeId>,
+    /// The transform the sweep ran under. The backward analyses derive
+    /// each node's effective duration and wire time from it with the
+    /// sweep's own product, so they see the bits the sweep used.
+    pub rescale: Rescale,
 }
 
-/// Why a [`TaskGraph`] cannot be scheduled. The forward pass checks the
-/// graph's structure first, so a malformed graph yields one of these
-/// instead of a panic or a hang.
+/// Why a [`TaskGraph`] cannot be scheduled. Compiling the sweep plan
+/// checks the graph's structure first, so a malformed graph yields one
+/// of these, on every call, instead of a panic or a hang.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GraphError {
     /// `node`'s `field` (`"prev"`, `"matched_send"` or `"meet"`) names
@@ -234,7 +321,7 @@ pub enum GraphError {
         /// How many nodes never ran.
         stuck: usize,
     },
-    /// More nodes than the forward pass's 32-bit links can index.
+    /// More nodes than the sweep plan's 32-bit positions can index.
     TooLarge {
         /// The graph's node count.
         nodes: usize,
@@ -262,7 +349,7 @@ impl std::fmt::Display for GraphError {
                 write!(f, "dependency cycle: {stuck} nodes never ran")
             }
             GraphError::TooLarge { nodes } => {
-                write!(f, "{nodes} nodes exceed the forward pass's 32-bit links")
+                write!(f, "{nodes} nodes exceed the sweep plan's 32-bit positions")
             }
         }
     }
@@ -270,57 +357,66 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// A node id in the forward pass's per-node link arrays: 32 bits halve
-/// their memory traffic, and the pass is bound by memory traffic.
+/// A node id or plan position in the 32-bit arrays of the compile walk
+/// and the sweep plan: 32 bits halve their memory traffic, and the
+/// sweep is bound by memory traffic.
 type Link = u32;
 /// "No node" in a link array.
 const NONE: Link = Link::MAX;
-/// `wait[i]` once node `i` has run.
-const RAN: Link = Link::MAX - 1;
 
-/// What a forward pass keeps besides start and end times:
-/// [`TaskGraph::schedule`] keeps all of it, a what-if none.
-trait Keep {
-    fn dur(&mut self, i: NodeId, dt: f64);
-    fn transfer(&mut self, i: NodeId, t: f64);
-    fn meet_end(&mut self, meet: usize, t: f64);
-    fn ran(&mut self, i: NodeId);
+/// What the sweep does at a node.
+#[derive(Clone, Copy)]
+enum Step {
+    /// End after the rescaled duration.
+    Compute,
+    /// End after the send overhead, never rescaled.
+    Send,
+    /// End when the message arrives, if it has not yet.
+    Recv,
+    /// Leave with the whole meet.
+    Meet,
 }
 
-impl Keep for () {
-    fn dur(&mut self, _: NodeId, _: f64) {}
-    fn transfer(&mut self, _: NodeId, _: f64) {}
-    fn meet_end(&mut self, _: usize, _: f64) {}
-    fn ran(&mut self, _: NodeId) {}
-}
-
-/// The [`Schedule`] fields beyond start and end times.
-struct Full {
-    eff_dur: Vec<f64>,
-    eff_transfer: Vec<f64>,
-    meet_end: Vec<f64>,
-    topo: Vec<NodeId>,
-}
-
-impl Keep for Full {
-    fn dur(&mut self, i: NodeId, dt: f64) {
-        self.eff_dur[i] = dt;
-    }
-    fn transfer(&mut self, i: NodeId, t: f64) {
-        self.eff_transfer[i] = t;
-    }
-    fn meet_end(&mut self, meet: usize, t: f64) {
-        self.meet_end[meet] = t;
-    }
-    fn ran(&mut self, i: NodeId) {
-        self.topo.push(i);
+impl Step {
+    /// The node's step, the key its [`Rescale`] factor is looked up by
+    /// (a compute node's phase, a receive's tag, 0 otherwise) and the
+    /// unscaled cost that factor multiplies (a rigid node's duration, a
+    /// receive's wire time, 0 for a collective member).
+    fn of(node: &TaskNode) -> (Step, u32, f64) {
+        match node.kind {
+            TaskKind::Compute => (Step::Compute, u32::from(node.phase), node.dur),
+            TaskKind::Send { .. } => (Step::Send, 0, node.dur),
+            TaskKind::Recv { tag, .. } => (Step::Recv, tag, node.transfer),
+            TaskKind::Collective { .. } => (Step::Meet, 0, 0.0),
+        }
     }
 }
 
-/// Node times from one forward pass.
-struct Times {
-    start: Vec<f64>,
+/// A graph compiled for sweeping: its nodes in visit order (see
+/// [`TaskGraph::order`]) as flat arrays indexed by *position*, so that
+/// a schedule or a what-if is one pass over them, front to back. Each
+/// meet's members fill consecutive positions, in member order.
+#[derive(Clone, Default)]
+struct Plan {
+    /// Node id at each position.
+    id: Vec<Link>,
+    /// Position of the node's `prev` ([`NONE`] for a chain head).
+    prev: Vec<Link>,
+    /// The node's [`Step::of`]: its step, factor key and unscaled cost.
+    step: Vec<Step>,
+    key: Vec<u32>,
+    cost: Vec<f64>,
+    /// Per receive, in position order: the position of its matched
+    /// send's `prev` ([`NONE`] when the send starts at 0).
+    sent: Vec<Link>,
+    /// Per meet, in position order of its block: the meet's index.
+    blocks: Vec<Link>,
+}
+
+/// One sweep's times, by plan position.
+struct Sweep {
     end: Vec<f64>,
+    meet_end: Vec<f64>,
     makespan: f64,
 }
 
@@ -415,22 +511,28 @@ pub struct Attribution {
 }
 
 impl TaskGraph {
-    /// Forward pass under `rescale`: every node's start and end time,
-    /// the effective durations used, and the order nodes finished in.
-    /// Errors on a malformed graph (see [`GraphError`]).
+    /// Every node's times under `rescale`: one sweep over the compiled
+    /// plan. Errors on a malformed graph (see [`GraphError`]).
     pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, GraphError> {
-        let n = self.nodes.len();
-        let mut full = Full {
-            eff_dur: vec![0.0; n],
-            eff_transfer: vec![0.0; n],
-            meet_end: vec![0.0; self.meets.len()],
-            topo: Vec::with_capacity(n),
-        };
-        let Times {
-            start,
-            end,
+        let plan = self.plan()?;
+        let Sweep {
+            end: by_pos,
+            meet_end,
             makespan,
-        } = self.forward(rescale, &mut full)?;
+        } = self.sweep(plan, rescale);
+        let n = by_pos.len();
+        let mut end = vec![0.0f64; n];
+        for (&i, &e) in plan.id.iter().zip(&by_pos) {
+            end[i as usize] = e;
+        }
+        drop(by_pos);
+        // A node starts when its `prev` ends, or at 0.
+        let mut start = vec![0.0f64; n];
+        for (&i, &p) in plan.id.iter().zip(&plan.prev) {
+            if p != NONE {
+                start[i as usize] = end[plan.id[p as usize] as usize];
+            }
+        }
         // Lowest id on ties; node 0 when nothing ends after time 0.
         let sink = (n > 0).then(|| {
             end.iter()
@@ -440,53 +542,151 @@ impl TaskGraph {
         Ok(Schedule {
             start,
             end,
-            eff_dur: full.eff_dur,
-            eff_transfer: full.eff_transfer,
-            meet_end: full.meet_end,
+            meet_end,
             makespan,
             sink,
-            topo: full.topo,
+            rescale: rescale.clone(),
         })
     }
 
-    /// New makespan under `rescale` — the what-if engine's core query.
-    /// The same forward pass as [`TaskGraph::schedule`], keeping only
-    /// start and end times.
+    /// New makespan under `rescale` — the what-if engine's core query:
+    /// the same sweep as [`TaskGraph::schedule`], keeping only the
+    /// makespan.
     pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, GraphError> {
-        Ok(self.forward(rescale, &mut ())?.makespan)
+        Ok(self.sweep(self.plan()?, rescale).makespan)
     }
 
-    /// The forward pass, in the run-to-block order of
-    /// `cpx_machine::des`: run each program-order chain until it reaches
-    /// a receive whose send has not run or a collective whose meet is
-    /// still missing members, and resume it when that send runs or the
-    /// last member arrives. Every node evaluates the replayer's float
-    /// expressions after the same predecessors as in any other order,
-    /// so the visit order cannot change a bit.
-    fn forward(&self, rescale: &Rescale, keep: &mut impl Keep) -> Result<Times, GraphError> {
+    /// The order every sweep visits the nodes in: the run-to-block order
+    /// of `cpx_machine::des`, fixed once per graph. It is a permutation
+    /// of the node ids in which every node comes after its `prev` and
+    /// its `matched_send`, and the members of a meet are consecutive, in
+    /// member order, and come before any member's successor.
+    /// [`TaskGraph::slack`] walks it backwards and relies on all three.
+    pub fn order(
+        &self,
+    ) -> Result<impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_, GraphError> {
+        Ok(self.plan()?.id.iter().map(|&i| i as NodeId))
+    }
+
+    /// The compiled plan, compiled on first use. The graph cannot change
+    /// after it is built, so the cached plan (or error) stays right.
+    fn plan(&self) -> Result<&Plan, GraphError> {
+        self.plan
+            .get_or_init(|| self.compile())
+            .as_ref()
+            .map_err(GraphError::clone)
+    }
+
+    /// Node `i`'s cost under `rescale`: its effective duration or, for a
+    /// receive, its effective wire time (0 for a collective member). It
+    /// is the product the sweep evaluates, of the same two operands.
+    fn scaled_cost(&self, i: NodeId, rescale: &Rescale) -> f64 {
+        let node = &self.nodes[i];
+        let (step, key, cost) = Step::of(node);
+        cost * rescale.factor(step, key)
+    }
+
+    /// Every node's end time under `rescale`, by plan position, in one
+    /// pass over the plan. This is the only place the replayer's float
+    /// expressions are evaluated: a rigid node ends at `start + cost`, a
+    /// receive at `start + (arrival - start).max(0.0)` with the arrival
+    /// computed from the send's start, and a meet's members all leave at
+    /// the `max` of their entries, folded from 0.0 in member order, plus
+    /// the meet's cost. A node reads only earlier positions, whose times
+    /// are final, so each expression sees the DES's operands.
+    fn sweep(&self, plan: &Plan, rescale: &Rescale) -> Sweep {
+        let n = plan.id.len();
+        let mut end: Vec<f64> = Vec::with_capacity(n);
+        let mut meet_end = vec![0.0f64; self.meets.len()];
+        let mut makespan = 0.0f64;
+        let mut sent = plan.sent.iter();
+        let mut blocks = plan.blocks.iter();
+        // A node starts when its `prev` ends, or at 0.
+        let start = |end: &[f64], p: Link| if p == NONE { 0.0 } else { end[p as usize] };
+        while end.len() < n {
+            let k = end.len();
+            let s = start(&end, plan.prev[k]);
+            let step = plan.step[k];
+            let cost = plan.cost[k] * rescale.factor(step, plan.key[k]);
+            let e = match step {
+                Step::Compute | Step::Send => {
+                    let e = s + cost;
+                    end.push(e);
+                    e
+                }
+                Step::Recv => {
+                    let from = *sent.next().expect("one entry per receive");
+                    let arrival = start(&end, from) + cost;
+                    let e = s + (arrival - s).max(0.0);
+                    end.push(e);
+                    e
+                }
+                Step::Meet => {
+                    let m = *blocks.next().expect("one block per meet") as usize;
+                    let meet = &self.meets[m];
+                    let block = k..k + meet.members.len();
+                    let base = plan.prev[block.clone()]
+                        .iter()
+                        .fold(0.0f64, |b, &p| b.max(start(&end, p)));
+                    let exit = base + meet.cost;
+                    meet_end[m] = exit;
+                    end.resize(block.end, exit);
+                    exit
+                }
+            };
+            if e > makespan {
+                makespan = e;
+            }
+        }
+        Sweep {
+            end,
+            meet_end,
+            makespan,
+        }
+    }
+
+    /// Compile the sweep plan in one run-to-block walk over the
+    /// structure, which fixes the DES's visit order: run each
+    /// program-order chain from its head, in id order, until it reaches
+    /// a receive whose send has not been placed or a collective whose
+    /// meet is still missing members, and resume it when that send is
+    /// placed or the last member arrives, which places the whole meet in
+    /// member order. Each node is laid out as it is placed; everything
+    /// it refers to already has its position.
+    fn compile(&self) -> Result<Plan, GraphError> {
         let n = self.nodes.len();
         let (next, mut runnable) = self.chains()?;
-        let mut start = vec![0.0f64; n];
-        let mut end = vec![0.0f64; n];
-        // Per node: NONE before it runs, RAN after, and in between the
-        // receive parked on it, if any.
-        let mut wait = vec![NONE; n];
+        let mut plan = Plan {
+            id: Vec::with_capacity(n),
+            prev: Vec::with_capacity(n),
+            cost: Vec::with_capacity(n),
+            step: Vec::with_capacity(n),
+            key: Vec::with_capacity(n),
+            ..Plan::default()
+        };
+        // Per node: its position once placed, NONE before.
+        let mut pos = vec![NONE; n];
+        // Per node not yet placed: the receive parked on it, if any.
+        let mut parked = vec![NONE; n];
         let mut missing: Vec<usize> = self.meets.iter().map(|m| m.members.len()).collect();
-        let mut makespan = 0.0f64;
-        let mut ran = 0usize;
+        let at = |pos: &[Link], p: Option<NodeId>| p.map_or(NONE, |p| pos[p]);
 
-        macro_rules! finish {
-            ($i:expr, $e:expr) => {{
-                let (i, e) = ($i, $e);
-                end[i] = e;
-                keep.ran(i);
-                ran += 1;
-                if e > makespan {
-                    makespan = e;
+        macro_rules! place {
+            ($i:expr) => {{
+                let i: NodeId = $i;
+                let node = &self.nodes[i];
+                pos[i] = plan.id.len() as Link;
+                plan.id.push(i as Link);
+                plan.prev.push(at(&pos, node.prev));
+                let (step, key, cost) = Step::of(node);
+                plan.step.push(step);
+                plan.key.push(key);
+                plan.cost.push(cost);
+                if let Some(send) = node.matched_send {
+                    plan.sent.push(at(&pos, self.nodes[send].prev));
                 }
-                let parked = std::mem::replace(&mut wait[i], RAN);
-                if parked != NONE {
-                    runnable.push_back(parked as NodeId);
+                if parked[i] != NONE {
+                    runnable.push_back(parked[i] as NodeId);
                 }
             }};
         }
@@ -494,32 +694,16 @@ impl TaskGraph {
         while let Some(mut i) = runnable.pop_front() {
             loop {
                 let node = &self.nodes[i];
-                let s = node.prev.map_or(0.0, |p| end[p]);
-                start[i] = s;
-                let e = match node.kind {
-                    TaskKind::Compute => {
-                        let dt = node.dur * rescale.compute_factor(node.phase);
-                        keep.dur(i, dt);
-                        s + dt
-                    }
-                    TaskKind::Send { .. } => {
-                        keep.dur(i, node.dur);
-                        s + node.dur
-                    }
-                    TaskKind::Recv { tag, .. } => {
+                match node.kind {
+                    TaskKind::Compute | TaskKind::Send { .. } => place!(i),
+                    TaskKind::Recv { .. } => {
                         let send = node.matched_send.expect("chains() checked the match");
-                        if wait[send] != RAN {
-                            // Blocked: `finish!(send, ..)` resumes it.
-                            wait[send] = i as Link;
+                        if pos[send] == NONE {
+                            // Blocked: placing the send resumes it.
+                            parked[send] = i as Link;
                             break;
                         }
-                        let transfer = node.transfer * rescale.transfer_factor(tag);
-                        keep.transfer(i, transfer);
-                        // The DES float sequence exactly: arrival computed
-                        // at send time, wait = (arrival - clock).max(0),
-                        // clock += wait.
-                        let arrival = start[send] + transfer;
-                        s + (arrival - s).max(0.0)
+                        place!(i);
                     }
                     TaskKind::Collective { meet } => {
                         missing[meet] -= 1;
@@ -527,24 +711,15 @@ impl TaskGraph {
                             // Blocked: the last member to arrive resumes it.
                             break;
                         }
-                        // Fold entries in member order, from 0.0, like
-                        // the DES replayer's running max.
-                        let m = &self.meets[meet];
-                        let base = m.members.iter().fold(0.0f64, |b, &mem| b.max(start[mem]));
-                        let exit = base + m.cost;
-                        keep.meet_end(meet, exit);
-                        for &mem in &m.members {
-                            if mem != i {
-                                finish!(mem, exit);
-                                if next[mem] != NONE {
-                                    runnable.push_back(next[mem] as NodeId);
-                                }
+                        plan.blocks.push(meet as Link);
+                        for &mem in &self.meets[meet].members {
+                            place!(mem);
+                            if mem != i && next[mem] != NONE {
+                                runnable.push_back(next[mem] as NodeId);
                             }
                         }
-                        exit
                     }
-                };
-                finish!(i, e);
+                }
                 if next[i] == NONE {
                     break;
                 }
@@ -552,19 +727,17 @@ impl TaskGraph {
             }
         }
 
-        if ran < n {
-            return Err(GraphError::Cycle { stuck: n - ran });
+        if plan.id.len() < n {
+            return Err(GraphError::Cycle {
+                stuck: n - plan.id.len(),
+            });
         }
-        Ok(Times {
-            start,
-            end,
-            makespan,
-        })
+        Ok(plan)
     }
 
     /// Every node's program-order successor ([`NONE`] at a chain's end)
     /// and the chain heads in id order, after checking the structure
-    /// the forward pass relies on: indices in range, no node the `prev`
+    /// the sweep relies on: indices in range, no node the `prev`
     /// of two nodes, a matched send on every receive and on nothing
     /// else, no send matched twice, and each meet listing exactly the
     /// collective nodes of that meet, once each.
@@ -572,7 +745,7 @@ impl TaskGraph {
         const LISTED: u8 = 1;
         const MATCHED: u8 = 2;
         let n = self.nodes.len();
-        if n > RAN as usize {
+        if n >= NONE as usize {
             return Err(GraphError::TooLarge { nodes: n });
         }
         let mut mark = vec![0u8; n];
@@ -638,8 +811,8 @@ impl TaskGraph {
         Ok((next, heads))
     }
 
-    /// Extract the critical path of `sched` by walking binding
-    /// constraints backward from the sink.
+    /// Extract the critical path of `sched`, a schedule of this graph,
+    /// by walking binding constraints backward from the sink.
     pub fn critical_path(&self, sched: &Schedule) -> CriticalPath {
         let mut segments = Vec::new();
         let mut cur = sched.sink;
@@ -675,7 +848,7 @@ impl TaskGraph {
                 }
                 TaskKind::Recv { .. } => {
                     let send = node.matched_send.expect("scheduled recv is matched");
-                    let arrival = sched.start[send] + sched.eff_transfer[i];
+                    let arrival = sched.start[send] + self.scaled_cost(i, &sched.rescale);
                     if arrival > s {
                         // The message bound: the wire segment from the
                         // send's start to the arrival is on the path,
@@ -730,14 +903,18 @@ impl TaskGraph {
         }
     }
 
-    /// Per-node slack: how many seconds the node's end could slip
-    /// without moving the makespan. Nodes on the critical path have
-    /// slack 0 (up to float roundoff).
+    /// Per-node slack under `sched`, a schedule of this graph: how many
+    /// seconds the node's end could slip without moving the makespan.
+    /// Nodes on the critical path have slack 0 (up to float roundoff).
     pub fn slack(&self, sched: &Schedule) -> Vec<f64> {
         let n = self.nodes.len();
+        let r = &sched.rescale;
         let mut latest = vec![sched.makespan; n];
         let mut meet_done = vec![false; self.meets.len()];
-        for &i in sched.topo.iter().rev() {
+        let order = self
+            .order()
+            .expect("a graph with a schedule has a compiled plan");
+        for i in order.rev() {
             let node = &self.nodes[i];
             match node.kind {
                 TaskKind::Collective { meet } => {
@@ -767,13 +944,13 @@ impl TaskGraph {
                         latest[p] = latest[p].min(latest[i]);
                     }
                     if let Some(send) = node.matched_send {
-                        let bound = latest[i] - sched.eff_transfer[i] + sched.eff_dur[send];
+                        let bound = latest[i] - self.scaled_cost(i, r) + self.scaled_cost(send, r);
                         latest[send] = latest[send].min(bound);
                     }
                 }
                 TaskKind::Compute | TaskKind::Send { .. } => {
                     if let Some(p) = node.prev {
-                        latest[p] = latest[p].min(latest[i] - sched.eff_dur[i]);
+                        latest[p] = latest[p].min(latest[i] - self.scaled_cost(i, r));
                     }
                 }
             }
@@ -781,19 +958,26 @@ impl TaskGraph {
         (0..n).map(|i| latest[i] - sched.end[i]).collect()
     }
 
-    /// Graph-wide per-phase attribution of every rank's time.
+    /// Graph-wide per-phase attribution of every rank's time under
+    /// `sched`, a schedule of this graph. There is a bucket for every
+    /// named phase and every phase a node runs in.
     pub fn attribution(&self, sched: &Schedule) -> Attribution {
-        let np = self.phase_names.len().max(1);
+        let np = self.phase_names.len();
         let mut att = Attribution {
             compute: vec![0.0; np],
             comm: vec![0.0; np],
             wait: vec![0.0; np],
         };
         for (i, node) in self.nodes.iter().enumerate() {
-            let p = (node.phase as usize).min(np - 1);
+            let p = node.phase as usize;
+            if p >= att.compute.len() {
+                for bucket in [&mut att.compute, &mut att.comm, &mut att.wait] {
+                    bucket.resize(p + 1, 0.0);
+                }
+            }
             match node.kind {
-                TaskKind::Compute => att.compute[p] += sched.eff_dur[i],
-                TaskKind::Send { .. } => att.comm[p] += sched.eff_dur[i],
+                TaskKind::Compute => att.compute[p] += self.scaled_cost(i, &sched.rescale),
+                TaskKind::Send { .. } => att.comm[p] += self.scaled_cost(i, &sched.rescale),
                 TaskKind::Recv { .. } => att.wait[p] += sched.end[i] - sched.start[i],
                 TaskKind::Collective { meet } => {
                     let exit = sched.meet_end[meet];
@@ -988,7 +1172,11 @@ mod tests {
     /// rank 0: compute 3s, send (overhead .5, wire 2).
     /// rank 1: compute 1s, recv.
     fn two_rank_graph() -> TaskGraph {
-        TaskGraph {
+        two_rank_parts().into()
+    }
+
+    fn two_rank_parts() -> TaskGraphParts {
+        TaskGraphParts {
             nodes: vec![
                 compute(0, 1, 3.0, None),
                 TaskNode {
@@ -1090,6 +1278,10 @@ mod tests {
 
     /// Two ranks compute 1s and 4s, then an allreduce costing 0.25.
     fn two_rank_meet() -> TaskGraph {
+        two_rank_meet_parts().into()
+    }
+
+    fn two_rank_meet_parts() -> TaskGraphParts {
         let member = |rank: usize| TaskNode {
             rank,
             phase: 0,
@@ -1099,7 +1291,7 @@ mod tests {
             prev: Some(rank),
             matched_send: None,
         };
-        TaskGraph {
+        TaskGraphParts {
             nodes: vec![
                 compute(0, 0, 1.0, None),
                 compute(1, 0, 4.0, None),
@@ -1143,15 +1335,15 @@ mod tests {
             assert_eq!(g.schedule(&Rescale::none()).unwrap_err(), want);
             assert_eq!(g.what_if_makespan(&Rescale::none()).unwrap_err(), want);
         };
-        let edit = |f: &dyn Fn(&mut TaskGraph)| {
-            let mut g = two_rank_graph();
+        let edit = |f: &dyn Fn(&mut TaskGraphParts)| {
+            let mut g = two_rank_parts();
             f(&mut g);
-            g
+            TaskGraph::from(g)
         };
-        let edit_meet = |f: &dyn Fn(&mut TaskGraph)| {
-            let mut g = two_rank_meet();
+        let edit_meet = |f: &dyn Fn(&mut TaskGraphParts)| {
+            let mut g = two_rank_meet_parts();
             f(&mut g);
-            g
+            TaskGraph::from(g)
         };
 
         // Indices out of range.
@@ -1247,10 +1439,10 @@ mod tests {
     /// 0's receive waits on the last rank's send, so its chain blocks.
     fn ring_graph(n: usize, iters: usize) -> TaskGraph {
         let id = |rank: usize, it: usize, k: usize| rank * 4 * iters + 4 * it + k;
-        let mut g = TaskGraph {
+        let mut g = TaskGraphParts {
             n_ranks: n,
             phase_names: vec!["(untracked)".into()],
-            ..TaskGraph::default()
+            ..TaskGraphParts::default()
         };
         for rank in 0..n {
             for it in 0..iters {
@@ -1290,16 +1482,16 @@ mod tests {
                 label: "allreduce",
             })
             .collect();
-        g
+        g.into()
     }
 
     /// Two lanes whose node ids interleave, with a barrier after every
     /// step: the shape of `critical_study`'s STC overlap graph.
     fn interleaved_lanes(steps: &[(f64, f64)]) -> TaskGraph {
-        let mut g = TaskGraph {
+        let mut g = TaskGraphParts {
             n_ranks: 2,
             phase_names: vec!["(untracked)".into()],
-            ..TaskGraph::default()
+            ..TaskGraphParts::default()
         };
         let mut prev = [None, None];
         for &(a, b) in steps {
@@ -1328,27 +1520,34 @@ mod tests {
                 label: "barrier",
             });
         }
-        g
+        g.into()
     }
 
-    /// Check the contract documented on [`Schedule::topo`].
-    fn assert_topo_contract(g: &TaskGraph, s: &Schedule) {
+    /// Check the contract documented on [`TaskGraph::order`].
+    fn assert_order_contract(g: &TaskGraph) {
+        let order: Vec<NodeId> = g.order().unwrap().collect();
         let n = g.nodes.len();
         let mut pos = vec![usize::MAX; n];
-        for (k, &i) in s.topo.iter().enumerate() {
+        for (k, &i) in order.iter().enumerate() {
             assert_eq!(pos[i], usize::MAX, "node {i} appears twice");
             pos[i] = k;
         }
-        assert_eq!(s.topo.len(), n, "topo is not a permutation");
+        assert_eq!(order.len(), n, "the order is not a permutation");
         for (i, node) in g.nodes.iter().enumerate() {
             for dep in [node.prev, node.matched_send].into_iter().flatten() {
                 assert!(pos[dep] < pos[i], "node {i} comes before {dep}");
             }
         }
         for (m, meet) in g.meets.iter().enumerate() {
-            let first = meet.members.iter().map(|&x| pos[x]).min().unwrap();
-            let last = meet.members.iter().map(|&x| pos[x]).max().unwrap();
-            assert_eq!(last - first + 1, meet.members.len(), "meet {m} is split");
+            let first = pos[meet.members[0]];
+            for (k, &x) in meet.members.iter().enumerate() {
+                assert_eq!(
+                    pos[x],
+                    first + k,
+                    "meet {m} is split or out of member order"
+                );
+            }
+            let last = first + meet.members.len() - 1;
             for (i, node) in g.nodes.iter().enumerate() {
                 if node.prev.is_some_and(|p| meet.members.contains(&p)) {
                     assert!(pos[i] > last, "node {i} precedes meet {m}");
@@ -1358,18 +1557,104 @@ mod tests {
     }
 
     #[test]
-    fn topo_contract_holds_on_a_ring_and_on_interleaved_lanes() {
+    fn order_contract_holds_on_a_ring_and_on_interleaved_lanes() {
         let ring = ring_graph(5, 3);
-        let s = ring.schedule(&Rescale::none()).unwrap();
-        assert_topo_contract(&ring, &s);
+        assert_order_contract(&ring);
         // The walk runs rank 0 until its receive blocks, so the order is
         // not plain id order.
-        assert_ne!(s.topo, (0..ring.nodes.len()).collect::<Vec<_>>());
+        let order: Vec<NodeId> = ring.order().unwrap().collect();
+        assert_ne!(order, (0..ring.nodes.len()).collect::<Vec<_>>());
 
         let lanes = interleaved_lanes(&[(1.0, 2.0), (3.0, 0.5), (0.25, 0.25)]);
+        assert_order_contract(&lanes);
         let s = lanes.schedule(&Rescale::none()).unwrap();
-        assert_topo_contract(&lanes, &s);
         assert_eq!(s.makespan, 2.0 + 3.0 + 0.25);
+    }
+
+    #[test]
+    fn attribution_keeps_unnamed_phases_apart() {
+        // Compute in phase 3 with only phases 0 and 1 named: it gets its
+        // own bucket instead of landing in phase 1's.
+        let g = TaskGraph::from(TaskGraphParts {
+            nodes: vec![compute(0, 1, 1.0, None), compute(0, 3, 2.0, Some(0))],
+            n_ranks: 1,
+            phase_names: vec!["(untracked)".into(), "a".into()],
+            ..TaskGraphParts::default()
+        });
+        let att = g.attribution(&g.schedule(&Rescale::none()).unwrap());
+        assert_eq!(att.compute, [0.0, 1.0, 0.0, 2.0]);
+        assert_eq!(att.comm, [0.0; 4]);
+        assert_eq!(att.wait, [0.0; 4]);
+        let rep = path_report(
+            &g,
+            &g.critical_path(&g.schedule(&Rescale::none()).unwrap()),
+            2,
+        );
+        assert_eq!(rep.top_spans[0].phase, "phase 3");
+    }
+
+    /// `two_rank_graph` under a rescale, checked against hand-derived
+    /// values: the transfer segment's span, per-phase compute and comm,
+    /// and every node's slack, the sender's included.
+    fn check_rescaled(r: Rescale, transfer: (f64, f64), compute: [f64; 3], slack: [f64; 4]) {
+        let g = two_rank_graph();
+        let s = g.schedule(&r).unwrap();
+        let path = g.critical_path(&s);
+        let seg = path.segments.iter().find(|x| x.label == "transfer");
+        assert_eq!(seg.map(|x| (x.t0, x.t1)), Some(transfer));
+        assert_eq!(seg.unwrap().rank, 0);
+        assert_eq!(path.compute_s() + path.comm_s(), s.makespan);
+        let att = g.attribution(&s);
+        assert_eq!(att.compute, compute);
+        assert_eq!(att.comm, [0.0, 0.5, 0.0]);
+        assert_eq!(g.slack(&s), slack);
+    }
+
+    #[test]
+    fn rescaled_path_attribution_and_slack_use_the_rescaled_costs() {
+        // Phase 1 (rank 0) twice as fast, phase 2 (rank 1) twice as
+        // slow: the send starts at 1.5 and arrives at 3.5; rank 1's
+        // compute ends at 2 and may slip 1.5. The send overhead is never
+        // rescaled.
+        check_rescaled(
+            Rescale {
+                compute_by_phase: vec![1.0, 0.5, 2.0],
+                transfer_by_tag: vec![],
+            },
+            (1.5, 3.5),
+            [0.0, 1.5, 2.0],
+            [0.0, 0.0, 1.5, 0.0],
+        );
+        // Tag 7 on a wire twice as fast: the send still starts at 3, the
+        // message arrives at 4.
+        check_rescaled(
+            Rescale {
+                compute_by_phase: vec![],
+                transfer_by_tag: vec![(7, 7, 0.5)],
+            },
+            (3.0, 4.0),
+            [0.0, 3.0, 1.0],
+            [0.0, 0.0, 3.0, 0.0],
+        );
+        // Both: rank 1's compute grows to 6 s and binds the receive, so
+        // the sender gets slack, and how much depends on the rescaled
+        // wire time: its message may leave as late as 6 - 1 = 5, so the
+        // send may end at 5.5 (2 s later) rather than at 4.5 with the
+        // unscaled wire.
+        let r = Rescale {
+            compute_by_phase: vec![1.0, 1.0, 6.0],
+            transfer_by_tag: vec![(0, 9, 0.5)],
+        };
+        let g = two_rank_graph();
+        let s = g.schedule(&r).unwrap();
+        assert_eq!(s.makespan, 6.0);
+        let path = g.critical_path(&s);
+        assert_eq!(path.segments.len(), 1);
+        assert_eq!(path.compute_s(), 6.0);
+        assert_eq!(g.slack(&s), [2.0, 2.0, 0.0, 0.0]);
+        let att = g.attribution(&s);
+        assert_eq!(att.compute, [0.0, 3.0, 6.0]);
+        assert_eq!(att.wait, [0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use chrome::{
 };
 pub use critical::{
     blend_factor, path_report, BlamedSpan, CriticalPath, GraphError, Meet, PathReport, PathSegment,
-    Rescale, Schedule, SegClass, TaskGraph, TaskKind, TaskNode,
+    Rescale, Schedule, SegClass, TaskGraph, TaskGraphParts, TaskKind, TaskNode,
 };
 pub use flame::{collapsed_stacks, collapsed_stacks_to};
 pub use http::{MetricsServer, Response};

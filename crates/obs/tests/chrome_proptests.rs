@@ -14,7 +14,7 @@ use cpx_obs::json::escape_str;
 use cpx_obs::{
     chrome_trace_json, cluster_chrome_trace_json, cluster_virtual_trace_json,
     critical_chrome_trace_json, Json, Meet, NodeObs, RankRecorder, RecoveryKind, Rescale,
-    TaskGraph, TaskKind, TaskNode, TraceSession,
+    TaskGraph, TaskGraphParts, TaskKind, TaskNode, TraceSession,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -110,10 +110,10 @@ proptest! {
         // Two ranks, one compute each, joined by a collective: the
         // critical lane and the rank lanes both label events with the
         // adversarial phase name.
-        let mut g = TaskGraph {
+        let mut g = TaskGraphParts {
             n_ranks: 2,
             phase_names: vec!["(untracked)".to_string(), phase],
-            ..TaskGraph::default()
+            ..TaskGraphParts::default()
         };
         for rank in 0..2usize {
             g.nodes.push(TaskNode {
@@ -149,6 +149,7 @@ proptest! {
             cost: 0.125,
             label: "allreduce",
         });
+        let g = TaskGraph::from(g);
         let sched = g.schedule(&Rescale::none()).expect("tiny graph is acyclic");
         let path = g.critical_path(&sched);
         let doc = parses(&critical_chrome_trace_json(&g, &path));

@@ -1,10 +1,12 @@
-//! The forward pass is total: on any task graph, well-formed or not,
+//! Scheduling is total: on any task graph, well-formed or not,
 //! `schedule` and `what_if_makespan` return a value or a typed error,
-//! never a panic or a hang, and the two agree.
+//! never a panic or a hang, and the two agree. The plan a graph compiles
+//! on its first call is cached, so every later call, and every call on a
+//! clone, must give the same bits or the same error.
 
 use proptest::prelude::*;
 
-use cpx_obs::{Meet, Rescale, TaskGraph, TaskKind, TaskNode};
+use cpx_obs::{GraphError, Meet, Rescale, TaskGraph, TaskGraphParts, TaskKind, TaskNode};
 
 /// A small graph from `nodes` (`(kind, rank, a, dur)`), then broken by
 /// `edits` (`(field, node, value)`). Before the edits, ranks 0..3 run
@@ -13,7 +15,7 @@ use cpx_obs::{Meet, Rescale, TaskGraph, TaskKind, TaskNode};
 /// meet `a % 3`, whose members are exactly its collectives.
 fn graph(nodes: &[(u8, usize, usize, f64)], edits: &[(u8, usize, usize)]) -> TaskGraph {
     let n = nodes.len();
-    let mut g = TaskGraph {
+    let mut g = TaskGraphParts {
         n_ranks: 3,
         meets: (0..3)
             .map(|_| Meet {
@@ -22,7 +24,7 @@ fn graph(nodes: &[(u8, usize, usize, f64)], edits: &[(u8, usize, usize)]) -> Tas
                 label: "barrier",
             })
             .collect(),
-        ..TaskGraph::default()
+        ..TaskGraphParts::default()
     };
     let mut last = [None; 3];
     for (i, &(kind, rank, a, dur)) in nodes.iter().enumerate() {
@@ -65,7 +67,46 @@ fn graph(nodes: &[(u8, usize, usize, f64)], edits: &[(u8, usize, usize)]) -> Tas
             _ => g.meets[value % 3].members.push(node % (n + 2)),
         }
     }
-    g
+    g.into()
+}
+
+/// The bits of a schedule: makespan, start and end times.
+type Bits = (u64, Vec<u64>, Vec<u64>);
+
+fn schedule_bits(g: &TaskGraph, rescale: &Rescale) -> Result<Bits, GraphError> {
+    let s = g.schedule(rescale)?;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    Ok((s.makespan.to_bits(), bits(&s.start), bits(&s.end)))
+}
+
+/// The contract documented on `TaskGraph::order`: a permutation in
+/// which every node follows its `prev` and matched send, and each meet's
+/// members sit together, in member order, before any member's successor.
+fn check_order(g: &TaskGraph, order: &[usize]) {
+    let mut pos = vec![usize::MAX; g.nodes.len()];
+    for (k, &i) in order.iter().enumerate() {
+        prop_assert_eq!(pos[i], usize::MAX);
+        pos[i] = k;
+    }
+    prop_assert_eq!(order.len(), g.nodes.len());
+    for (i, node) in g.nodes.iter().enumerate() {
+        for dep in [node.prev, node.matched_send].into_iter().flatten() {
+            prop_assert!(pos[dep] < pos[i]);
+        }
+    }
+    for meet in &g.meets {
+        let Some(&head) = meet.members.first() else {
+            continue;
+        };
+        for (k, &x) in meet.members.iter().enumerate() {
+            prop_assert_eq!(pos[x], pos[head] + k);
+        }
+        for (i, node) in g.nodes.iter().enumerate() {
+            if node.prev.is_some_and(|p| meet.members.contains(&p)) {
+                prop_assert!(pos[i] >= pos[head] + meet.members.len());
+            }
+        }
+    }
 }
 
 proptest! {
@@ -78,29 +119,29 @@ proptest! {
         factor in 0.25f64..4.0,
     ) {
         let g = graph(&nodes, &edits);
-        for rescale in [
+        // One clone before the first call compiles the plan, one after.
+        let fresh = g.clone();
+        let rescales = [
             Rescale::none(),
             Rescale { compute_by_phase: vec![1.0, factor], transfer_by_tag: vec![(0, 0, factor)] },
-        ] {
-            match (g.schedule(&rescale), g.what_if_makespan(&rescale)) {
-                (Ok(s), Ok(makespan)) => {
-                    prop_assert_eq!(s.makespan.to_bits(), makespan.to_bits());
-                    // `topo` is a permutation that respects every edge.
-                    let mut pos = vec![usize::MAX; g.nodes.len()];
-                    for (k, &i) in s.topo.iter().enumerate() {
-                        prop_assert_eq!(pos[i], usize::MAX);
-                        pos[i] = k;
-                    }
-                    prop_assert_eq!(s.topo.len(), g.nodes.len());
-                    for (i, node) in g.nodes.iter().enumerate() {
-                        for dep in [node.prev, node.matched_send].into_iter().flatten() {
-                            prop_assert!(pos[dep] < pos[i]);
-                        }
-                    }
+        ];
+        let want: Vec<Result<Bits, GraphError>> =
+            rescales.iter().map(|r| schedule_bits(&g, r)).collect();
+        let compiled = g.clone();
+        // Interleave what-ifs and schedules, twice over, on all three;
+        // `fresh` compiles on a what-if, `g` compiled on a schedule.
+        for _ in 0..2 {
+            for graph in [&fresh, &g, &compiled] {
+                for (r, want) in rescales.iter().zip(&want) {
+                    let makespan = graph.what_if_makespan(r).map(f64::to_bits);
+                    prop_assert_eq!(makespan, want.as_ref().map(|w| w.0).map_err(GraphError::clone));
+                    prop_assert_eq!(&schedule_bits(graph, r), want);
                 }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                (s, w) => panic!("schedule {:?} but what-if {w:?}", s.map(|s| s.makespan)),
             }
         }
+        match g.order() {
+            Ok(order) => check_order(&g, &order.collect::<Vec<_>>()),
+            Err(e) => prop_assert_eq!(Err(e), want[0].clone()),
+        };
     }
 }
