@@ -31,7 +31,6 @@
 //! model is grounded in what the algorithms actually do.
 
 pub mod aggregate;
-pub mod chebyshev;
 pub mod cycle;
 pub mod hierarchy;
 pub mod interp;
@@ -41,7 +40,6 @@ pub mod smoother;
 pub mod strength;
 
 pub use aggregate::{aggregate_greedy, Aggregation};
-pub use chebyshev::{chebyshev_smooth, estimate_eig_max};
 pub use cycle::{
     apply_cycle, apply_cycle_guarded, convergence_factor, kcycle, vcycle, wcycle, CycleType,
     CycleViolation, GuardedCycle,

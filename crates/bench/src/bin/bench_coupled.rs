@@ -10,6 +10,7 @@
 //! the run makespan. The trace is deterministic, so successive builds
 //! can diff this file to track performance-model drift.
 
+use cpx_bench::write_text;
 use cpx_core::prelude::*;
 use cpx_obs::{phase_stats, Json};
 
@@ -57,13 +58,7 @@ fn main() {
         ("phases", Json::Arr(phases)),
     ]);
     let text = doc.write_pretty();
-    if let Some(dir) = std::path::Path::new(&out_path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &text).expect("write benchmark json");
+    write_text(&out_path, &text);
     println!("{text}");
     println!("(written to {out_path})");
 }

@@ -32,10 +32,9 @@
 //!   per-core peaks from `cpx-machine`;
 //! * `--baseline PATH` gates hardware-independent invariants against a
 //!   committed baseline: `bit_identical` must stay true, arithmetic
-//!   intensities must not drift by more than `CPX_BENCH_TOLERANCE`
-//!   (fractional, default 0.5), and the layout speedup must not fall
-//!   below `(1 - tolerance) ×` the baseline's. `CPX_BENCH_SOFT=1`
-//!   downgrades gate failures to warnings for noisy runners.
+//!   intensities must not drift by more than [`TOLERANCE`]
+//!   (fractional), and the layout speedup must not fall below
+//!   `(1 - tolerance) ×` the baseline's. Any violation exits non-zero.
 //!
 //! Unlike the virtual-time traces, these numbers are real wall clock and
 //! therefore hardware-dependent; apart from the gates above the binary
@@ -44,6 +43,7 @@
 
 use std::time::Instant;
 
+use cpx_bench::{median, write_text};
 use cpx_machine::Machine;
 use cpx_obs::{Json, KernelIntensity, OpCounts};
 use cpx_par::{hardware_threads, with_telemetry, ParPool, PoolTelemetry, MIN_WORK_PER_WORKER};
@@ -73,6 +73,10 @@ const SCHEMA_VERSION: u32 = 2;
 const SELL_C: usize = 16;
 const SELL_SIGMA: usize = 256;
 
+/// Fractional drift the `--baseline` gate allows on arithmetic
+/// intensities and on the layout speedup.
+const TOLERANCE: f64 = 0.5;
+
 /// One timed point of the thread sweep.
 struct Sample {
     /// Requested worker count.
@@ -94,11 +98,6 @@ struct KernelReport {
     /// Per-worker chunk telemetry from one instrumented run at the
     /// widest granted thread count.
     telemetry: PoolTelemetry,
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2].max(1e-9)
 }
 
 /// Join a sparse kernel's own [`cpx_sparse::SpOpStats`] with the stored
@@ -714,14 +713,7 @@ fn main() {
         ("crossover", crossover),
         ("layout", layout),
     ]);
-    let text = doc.write_pretty();
-    if let Some(dir) = std::path::Path::new(&out_path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, &text).expect("write benchmark json");
+    write_text(&out_path, &doc.write_pretty());
 
     let mut all_identical = true;
     println!("kernel                thr  eff  median_s    speedup  eff");
@@ -784,27 +776,17 @@ fn main() {
 
     // --- Baseline gate ----------------------------------------------------
     if let Some(path) = baseline_path {
-        let tolerance = std::env::var("CPX_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .unwrap_or(0.5);
-        let soft = std::env::var("CPX_BENCH_SOFT").is_ok_and(|v| v == "1");
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         let baseline = Json::parse(&text).expect("parse baseline json");
-        let violations = gate_against_baseline(&doc, &baseline, tolerance);
+        let violations = gate_against_baseline(&doc, &baseline, TOLERANCE);
         if violations.is_empty() {
-            println!("baseline gate vs {path}: clean (tolerance {tolerance})");
+            println!("baseline gate vs {path}: clean (tolerance {TOLERANCE})");
         } else {
             for v in &violations {
                 eprintln!("baseline drift: {v}");
             }
-            if soft {
-                eprintln!("CPX_BENCH_SOFT=1: continuing despite drift");
-            } else {
-                eprintln!("set CPX_BENCH_SOFT=1 to downgrade this to a warning");
-                std::process::exit(1);
-            }
+            std::process::exit(1);
         }
     }
 

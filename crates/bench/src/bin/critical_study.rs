@@ -20,8 +20,7 @@
 //!    (Amdahl within the phase, spmv share taken from the pressure
 //!    solver's detailed profile) and the predicted coupled-run delta
 //!    must match the measured one — a genuine DES re-replay of the
-//!    rescaled programs — within `CPX_CRITICAL_TOLERANCE`
-//!    (default [`DEFAULT_TOLERANCE`]).
+//!    rescaled programs — within [`TOLERANCE`].
 //! 2. **STC cross-check** — a hand-built two-lane overlap graph over
 //!    the committed `BENCH_stc.json` per-step timings must reproduce
 //!    the study's measured `virtual_speedup` to 1e-9.
@@ -37,6 +36,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use cpx_bench::write_text;
 use cpx_core::prelude::*;
 use cpx_core::report::{critical_path_section, Report};
 use cpx_machine::{
@@ -48,10 +48,9 @@ use cpx_obs::{
 };
 use cpx_pressure::{PfSubPhase, PressureConfig, PressurePhase, PressureTraceModel};
 
-/// Committed default for the SELL what-if gate: predicted vs measured
-/// relative error allowed on both the simpic block factor and the
-/// coupled-run speedup. Override with `CPX_CRITICAL_TOLERANCE`.
-const DEFAULT_TOLERANCE: f64 = 0.05;
+/// SELL what-if gate: predicted vs measured relative error allowed on
+/// both the simpic block factor and the coupled-run speedup.
+const TOLERANCE: f64 = 0.05;
 
 /// Agreement required between the two-lane overlap graph and the
 /// committed STC study's own virtual speedup.
@@ -81,16 +80,6 @@ fn read_json(path: &Path) -> Json {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{}: unreadable: {e}", path.display()));
     Json::parse(&text).unwrap_or_else(|e| panic!("{}: invalid JSON: {e:?}", path.display()))
-}
-
-fn write_text(path: &str, text: &str) {
-    if let Some(dir) = Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(path, text).expect("write output");
 }
 
 /// Kernel share of the simpic per-step runtime: seconds of
@@ -195,10 +184,6 @@ fn main() -> ExitCode {
     let trace_path = std::env::args()
         .nth(2)
         .unwrap_or_else(|| "target/critical_trace.json".to_string());
-    let tolerance = std::env::var("CPX_CRITICAL_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE);
 
     // ── The exact bench_coupled configuration ──────────────────────
     let machine = Machine::archer2();
@@ -376,7 +361,7 @@ fn main() -> ExitCode {
     let measured_speedup = base_makespan / measured_makespan;
     let block_err = (pred_block_factor - meas_block_factor).abs() / meas_block_factor;
     let coupled_err = (predicted_speedup - measured_speedup).abs() / measured_speedup;
-    let sell_pass = block_err <= tolerance && coupled_err <= tolerance;
+    let sell_pass = block_err <= TOLERANCE && coupled_err <= TOLERANCE;
 
     // ── Gate 2: STC overlap cross-check ────────────────────────────
     let stc_json = read_json(&repo_root().join("BENCH_stc.json"));
@@ -481,7 +466,7 @@ fn main() -> ExitCode {
                 ("predicted_coupled_speedup", Json::Num(predicted_speedup)),
                 ("measured_coupled_speedup", Json::Num(measured_speedup)),
                 ("coupled_rel_error", Json::Num(coupled_err)),
-                ("tolerance", Json::Num(tolerance)),
+                ("tolerance", Json::Num(TOLERANCE)),
                 ("pass", Json::Bool(sell_pass)),
             ]),
         ),

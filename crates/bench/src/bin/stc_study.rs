@@ -25,6 +25,7 @@
 //! count. Times are hardware-dependent: never byte-compare this
 //! binary's output.
 
+use cpx_bench::write_text;
 use cpx_obs::Json;
 use cpx_pressure::{run_stc, StcConfig, StcMode, StcOutcome};
 use cpx_sparse::KernelPolicy;
@@ -124,13 +125,7 @@ fn main() {
             Json::Arr(vec![outcome_json(&sync), outcome_json(&over)]),
         ),
     ]);
-    if let Some(dir) = std::path::Path::new(&out_path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, doc.write_pretty()).expect("write stc json");
+    write_text(&out_path, &doc.write_pretty());
 
     println!(
         "Optimized-STC study (n={}³, {} droplets, {} steps)",

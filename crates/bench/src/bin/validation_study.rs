@@ -18,9 +18,7 @@
 //!    human-readable report;
 //! 4. gates on regressions: if the output path already holds a
 //!    *committed baseline*, any kernel whose MAPE exceeds its baseline
-//!    by more than `CPX_VALIDATION_TOLERANCE` percentage points
-//!    (default 30) fails the run — unless `CPX_VALIDATION_SOFT=1`
-//!    downgrades that to a warning for noisy runners.
+//!    by more than [`TOLERANCE_PP`] percentage points fails the run.
 //!
 //! With `--trace PATH` it also writes a dual-lane Chrome trace of the
 //! same AMG V-cycles seen by the virtual work-model clock and the wall
@@ -29,6 +27,7 @@
 
 use std::time::Instant;
 
+use cpx_bench::{median, write_text};
 use cpx_core::prelude::*;
 use cpx_obs::{dual_chrome_trace_json, Json, TraceSession, WallRecorder};
 use cpx_par::ParPool;
@@ -47,10 +46,9 @@ const THREADS: &[usize] = &[1, 2, 4, 8];
 /// Fixed chunk count (determinism contract keys results to chunks).
 const CHUNKS: usize = 8;
 
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2].max(1e-9)
-}
+/// MAPE regression (percentage points over the committed baseline)
+/// that fails the run.
+const TOLERANCE_PP: f64 = 30.0;
 
 /// Median wall time of `run` at every thread count.
 fn measure(name: &str, reps: usize, mut run: impl FnMut(&ParPool)) -> MeasuredScaling {
@@ -200,24 +198,13 @@ fn main() {
         }
         let wall_session = TraceSession::new(vec![wall.into_timeline(0)]);
         let dual = dual_chrome_trace_json(&virt, &wall_session);
-        if let Some(dir) = std::path::Path::new(&path)
-            .parent()
-            .filter(|d| !d.as_os_str().is_empty())
-        {
-            std::fs::create_dir_all(dir).expect("create output dir");
-        }
-        std::fs::write(path, dual).expect("write dual trace");
+        write_text(path, &dual);
         println!("(dual-lane trace written to {path})");
     }
 
     // --- Regression gate against the committed baseline -----------------
-    let tolerance_pp = std::env::var("CPX_VALIDATION_TOLERANCE")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .unwrap_or(30.0);
-    let soft = std::env::var("CPX_VALIDATION_SOFT").is_ok_and(|v| v == "1");
     let regressions = match std::fs::read_to_string(&out_path) {
-        Ok(text) => report.regressions(&baseline_mapes(&text), tolerance_pp),
+        Ok(text) => report.regressions(&baseline_mapes(&text), TOLERANCE_PP),
         Err(_) => Vec::new(), // no baseline: first run seeds it
     };
 
@@ -237,7 +224,7 @@ fn main() {
         .collect();
     let doc = Json::obj(vec![
         ("schema_version", Json::Num(SCHEMA_VERSION as f64)),
-        ("tolerance_pp", Json::Num(tolerance_pp)),
+        ("tolerance_pp", Json::Num(TOLERANCE_PP)),
         (
             "overall_kernel_mape_pct",
             Json::Num(report.overall_kernel_mape()),
@@ -249,13 +236,7 @@ fn main() {
             Json::Arr(report.coupled.iter().map(pair_json).collect()),
         ),
     ]);
-    if let Some(dir) = std::path::Path::new(&out_path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create output dir");
-    }
-    std::fs::write(&out_path, doc.write_pretty()).expect("write validation json");
+    write_text(&out_path, &doc.write_pretty());
 
     println!("{}", cpx_core::report::validation_markdown(&report));
     println!("(written to {out_path})");
@@ -264,11 +245,6 @@ fn main() {
         for r in &regressions {
             eprintln!("MAPE regression: {r}");
         }
-        if soft {
-            eprintln!("CPX_VALIDATION_SOFT=1: continuing despite regressions");
-        } else {
-            eprintln!("set CPX_VALIDATION_SOFT=1 to downgrade this to a warning");
-            std::process::exit(1);
-        }
+        std::process::exit(1);
     }
 }

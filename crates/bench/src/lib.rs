@@ -2,13 +2,16 @@
 //!
 //! The benchmark harness: the `figures` binary regenerates every table
 //! and figure of the paper's evaluation on the virtual testbed, and the
-//! Criterion benches (`cargo bench`) measure the real kernels behind
-//! the paper's optimization analysis (SpGEMM variants, smoothers,
-//! donor-search algorithms, mini-app steps, replayer throughput).
+//! study bins write the committed `BENCH_*.json` artifacts
+//! (`bench_kernels` times the real kernels behind the paper's
+//! optimization analysis; `bench_coupled`, `critical_study`,
+//! `stc_study` and `validation_study` cover the coupled run).
 //!
 //! Run a single figure with
 //! `cargo run -p cpx-bench --release --bin figures -- fig4b`
 //! or everything with `-- all`.
+
+use std::path::Path;
 
 use cpx_machine::Machine;
 use cpx_pressure::{PressureConfig, PressureTraceModel};
@@ -81,6 +84,24 @@ pub fn simpic_series(config: SimpicConfig, ranks: &[usize], machine: &Machine) -
     }
 }
 
+/// Median of `times` (the upper one for an even count), floored at
+/// 1 ns so a zero timer reading never yields an infinite speedup.
+pub fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    times[times.len() / 2].max(1e-9)
+}
+
+/// Write `text` to `path`, creating the parent directory first.
+pub fn write_text(path: &str, text: &str) {
+    if let Some(dir) = Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(dir).expect("create output dir");
+    }
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
 /// Render a two-series comparison table with per-point relative error.
 pub fn comparison_table(a: &Series, b: &Series) -> String {
     let mut out = String::new();
@@ -124,6 +145,13 @@ mod tests {
         assert!((pe[1].1 - 10.0 * 100.0 / (6.0 * 200.0)).abs() < 1e-12);
         let sp = s.speedup();
         assert!((sp[1].1 - 10.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle_and_floors_at_a_nanosecond() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(vec![0.0]), 1e-9);
     }
 
     #[test]

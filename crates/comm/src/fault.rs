@@ -317,13 +317,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the failure-detector latency.
-    pub fn with_detect_latency(mut self, secs: f64) -> FaultPlan {
-        assert!(secs >= 0.0 && secs.is_finite());
-        self.detect_latency = secs;
-        self
-    }
-
     /// The crash schedule, sorted by rank.
     pub fn crashes(&self) -> &[(usize, f64)] {
         &self.crashes

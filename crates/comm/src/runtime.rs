@@ -344,12 +344,6 @@ impl RankCtx {
         self.obs.count(name, n);
     }
 
-    /// Is span recording live on this rank?
-    #[inline]
-    pub fn obs_on(&self) -> bool {
-        self.obs.is_on()
-    }
-
     /// Record a shrink-recovery protocol step at the current virtual
     /// time (feeds the recovery lane of exported traces). No-op unless
     /// tracing is live, like every other obs call.

@@ -190,12 +190,6 @@ impl FaultScenario {
         self
     }
 
-    /// Inject the given silent corruptions.
-    pub fn with_sdc_events(mut self, events: Vec<crate::sdc::SdcInjection>) -> FaultScenario {
-        self.sdc_events = events;
-        self
-    }
-
     /// Set the recovery policy for detected corruptions.
     pub fn with_sdc_policy(mut self, policy: crate::sdc::SdcPolicy) -> FaultScenario {
         self.sdc_policy = policy;

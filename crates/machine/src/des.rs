@@ -168,17 +168,6 @@ impl ReplayOutcome {
         self.finish.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Mean fraction of the makespan ranks spent computing — a crude
-    /// whole-program efficiency measure.
-    pub fn compute_fraction(&self) -> f64 {
-        let span = self.makespan();
-        if span == 0.0 {
-            return 1.0;
-        }
-        let mean: f64 = self.compute_time.iter().sum::<f64>() / self.compute_time.len() as f64;
-        mean / span
-    }
-
     /// Max finish time over a subset of ranks (an app instance's runtime
     /// inside a coupled program).
     pub fn makespan_of(&self, ranks: &[usize]) -> f64 {
@@ -328,17 +317,8 @@ impl Replayer {
         &self,
         program: &TraceProgram,
     ) -> Result<(ReplayOutcome, Vec<DesEvent>), ReplayError> {
-        // Preallocate for the common case — one event per expanded op
-        // plus a finish per rank — so logging costs pushes, not
-        // reallocation+copy cycles (the <5% recorder-overhead budget).
-        let cap: usize = program
-            .traces
-            .iter()
-            .map(RankTrace::expanded_len)
-            .sum::<usize>()
-            + program.n_ranks();
-        let mut log = Vec::with_capacity(cap);
-        let out = self.run_inner::<true>(program, None, &mut log)?;
+        let mut log = Vec::new();
+        let out = self.run_logged_into(program, &mut log)?;
         Ok((out, log))
     }
 
@@ -353,6 +333,9 @@ impl Replayer {
         log: &mut Vec<DesEvent>,
     ) -> Result<ReplayOutcome, ReplayError> {
         log.clear();
+        // Reserve for the common case — one event per expanded op plus
+        // a finish per rank — so logging costs pushes, not
+        // reallocation+copy cycles (the <5% recorder-overhead budget).
         let cap: usize = program
             .traces
             .iter()

@@ -111,11 +111,6 @@ impl DistributedEuler {
         self.owned.len()
     }
 
-    /// Ghost cell count.
-    pub fn n_ghosts(&self) -> usize {
-        self.recv_lists.iter().map(Vec::len).sum()
-    }
-
     /// Exchange ghost states with every neighbouring rank. Collective.
     fn exchange_ghosts(&mut self, ctx: &mut RankCtx, group: &Group) {
         let p = group.size();

@@ -135,14 +135,6 @@ impl InvariantGuard {
         }
     }
 
-    /// Same, with an explicit drift tolerance.
-    pub fn with_tol(solver: &EulerSolver, rel_tol: f64) -> InvariantGuard {
-        InvariantGuard {
-            rel_tol,
-            ..InvariantGuard::watch(solver)
-        }
-    }
-
     /// Verify all invariants; `Err` carries the first violation found.
     pub fn check(&self, solver: &EulerSolver) -> Result<(), InvariantViolation> {
         for (cell, u) in solver.state.iter().enumerate() {

@@ -179,6 +179,7 @@ impl Json {
     /// Parse JSON text.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -279,6 +280,7 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -424,11 +426,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at(self.pos, "invalid utf-8"))?;
-                    let c = text.chars().next().unwrap();
+                    // Consume one code point. Every token and escape
+                    // before it is ASCII, so `pos` is on a char boundary.
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -459,8 +459,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| JsonError::at(start, "bad number"))
     }
@@ -617,6 +617,37 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_text() {
+        // A trace-bundle-shaped document of ~1 MB: 8,000 spans, each
+        // mostly string text (names, paths, hex-encoded f64 bits), the
+        // shape `merge.rs` decodes from child nodes. Per-character work
+        // that grows with the rest of the input takes tens of seconds
+        // here; a linear parse takes milliseconds.
+        let hex = |x: f64| Json::Str(format!("{:016x}", x.to_bits()));
+        let spans: Vec<Json> = (0..8_000)
+            .map(|i| {
+                let t = i as f64 * 1.0e-3;
+                Json::obj(vec![
+                    ("name", Json::Str(format!("phase {}", i % 7))),
+                    ("path", Json::Str(format!("run;phase {}", i % 7))),
+                    ("start", hex(t)),
+                    ("end", hex(t + 5.0e-4)),
+                    ("depth", Json::Num(1.0)),
+                    ("self_time", hex(5.0e-4)),
+                ])
+            })
+            .collect();
+        let doc = Json::obj(vec![("spans", Json::Arr(spans))]);
+        let text = doc.write();
+        assert!(text.len() > 1_000_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed, doc);
+        assert!(took.as_secs_f64() < 1.0, "parse took {took:?}");
     }
 
     #[test]

@@ -68,12 +68,6 @@ impl PressureConfig {
         self.variant = PressureVariant::WorstCase;
         self
     }
-
-    /// Override the timestep count.
-    pub fn with_timesteps(mut self, steps: usize) -> PressureConfig {
-        self.timesteps = steps;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -20,11 +20,9 @@
 //! verification meaningful.
 
 use cpx_comm::{CollectiveOp, CommEvent, CommEventKind};
-use cpx_core::ResilienceEvent;
+use cpx_core::{ResilienceEvent, SdcSite};
 use cpx_machine::{CollectiveKind, DesEvent, DesEventKind};
-
-use crate::wire::{Decoder, Encoder, WireError};
-use cpx_core::SdcSite;
+use cpx_wire::{Decoder, Encoder, WireError};
 
 /// One recorded event. See the module docs for the three producers.
 #[derive(Debug, Clone, Copy, PartialEq)]

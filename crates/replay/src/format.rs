@@ -24,8 +24,9 @@
 use std::fmt;
 use std::path::Path;
 
+use cpx_wire::{crc32, Decoder, Encoder, WireError};
+
 use crate::event::ReplayEvent;
-use crate::wire::{crc32, Decoder, Encoder, WireError};
 
 /// File magic, first four bytes of every trace.
 pub const MAGIC: [u8; 4] = *b"CPXR";

@@ -31,7 +31,6 @@ pub mod format;
 pub mod golden;
 pub mod launcher;
 pub mod multiproc;
-pub mod wire;
 
 pub use critical::{trace_critical, TraceCritical, TraceSpan};
 pub use divergence::{verify, DivergenceError};

@@ -160,11 +160,6 @@ impl AbftCsr {
         &mut self.matrix
     }
 
-    /// Unwrap.
-    pub fn into_matrix(self) -> Csr {
-        self.matrix
-    }
-
     /// Recapture the checksum baseline after a legitimate matrix
     /// update.
     pub fn refresh(&mut self) {

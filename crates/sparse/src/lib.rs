@@ -84,12 +84,6 @@ impl SpOpStats {
         self.bytes_read + self.bytes_written
     }
 
-    /// As a [`cpx_machine`]-style kernel cost (flops, bytes). Kept as a
-    /// plain tuple so this crate does not depend on `cpx-machine`.
-    pub fn as_cost(&self) -> (f64, f64) {
-        (self.flops, self.bytes())
-    }
-
     /// Arithmetic intensity in flops per byte of traffic (0 when the
     /// kernel moved no bytes) — the roofline x-coordinate.
     pub fn intensity(&self) -> f64 {

@@ -46,15 +46,6 @@ impl PartitionQuality {
     pub fn max_halo(&self) -> usize {
         self.halo_sizes.iter().copied().max().unwrap_or(0)
     }
-
-    /// Mean halo across parts.
-    pub fn avg_halo(&self) -> f64 {
-        if self.halo_sizes.is_empty() {
-            0.0
-        } else {
-            self.halo_sizes.iter().sum::<usize>() as f64 / self.halo_sizes.len() as f64
-        }
-    }
 }
 
 /// Recursive coordinate bisection: split `coords` (d-dimensional points)
