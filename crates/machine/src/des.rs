@@ -17,11 +17,22 @@
 //! replay cost is `O(total ops)` — programs with tens of thousands of
 //! ranks and millions of ops replay in well under a second. Replay is
 //! fully deterministic.
+//!
+//! Nothing on the per-message path hashes. Before a replay, one pass
+//! over the program's unexpanded op slots gives every `(src, dst, tag)`
+//! channel a dense id and records it per slot (the private channel
+//! index, shared with [`crate::graph::build_task_graph`]). Each
+//! channel's in-flight arrival times are a FIFO in a `Vec` indexed by
+//! that id. A blocked receive records its channel, so a send wakes rank
+//! `dst` exactly when `dst` is blocked on a receive on the send's
+//! channel. Each group keeps one pending-collective slot whose waiter
+//! buffer is reused from occurrence to occurrence.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use cpx_obs::{RankRecorder, TraceSession};
 
+use crate::channels::Channels;
 use crate::collectives::collective_time;
 use crate::model::Machine;
 use crate::trace::{CollectiveKind, Op, PhaseId, RankTrace, TraceProgram};
@@ -175,9 +186,11 @@ impl ReplayOutcome {
     }
 }
 
+/// What a blocked rank waits on: a receive on a channel of the
+/// program's channel index, or a collective on a group.
 #[derive(Debug, Clone, PartialEq)]
 enum Blocked {
-    Recv { src: usize, tag: u32 },
+    Recv { ch: u32 },
     Collective { group: usize },
 }
 
@@ -225,13 +238,15 @@ impl DesTracer {
     }
 }
 
+/// A group's open collective occurrence. One per group, reused from
+/// occurrence to occurrence, so its waiter buffer is allocated once.
 #[derive(Debug)]
 struct PendingColl {
     kind: CollectiveKind,
-    arrived: usize,
     max_clock: f64,
     max_bytes: usize,
-    /// (rank, clock at arrival) for comm-time attribution.
+    /// (rank, clock at arrival) for comm-time attribution; empty while
+    /// no occurrence is open.
     waiters: Vec<(usize, f64)>,
 }
 
@@ -252,6 +267,11 @@ impl Cursor {
             rep_pc: 0,
             in_repeat: false,
         }
+    }
+
+    /// Channel of the message op under the cursor.
+    fn channel(&self, channels: &Channels, rank: usize) -> u32 {
+        channels.of(rank, self.pc, self.in_repeat.then_some(self.rep_pc))
     }
 }
 
@@ -372,6 +392,7 @@ impl Replayer {
         log: &mut Vec<DesEvent>,
     ) -> Result<ReplayOutcome, ReplayError> {
         program.validate().map_err(ReplayError::Invalid)?;
+        let channels = Channels::build(program).map_err(ReplayError::Invalid)?;
         let n = program.n_ranks();
 
         // Group membership checks are cheaper with a lookup table.
@@ -395,11 +416,18 @@ impl Replayer {
         let mut phase_compute = vec![vec![0.0f64; n]; self.n_phases];
         let mut phase_comm = vec![vec![0.0f64; n]; self.n_phases];
 
-        // (src, dst, tag) -> FIFO of arrival times.
-        let mut mailbox: HashMap<(usize, usize, u32), VecDeque<f64>> = HashMap::new();
-        // (src, dst, tag) -> rank `dst` blocked on this key.
-        let mut recv_waiters: HashMap<(usize, usize, u32), usize> = HashMap::new();
-        let mut pending_colls: HashMap<usize, PendingColl> = HashMap::new();
+        // Per channel: FIFO of arrival times.
+        let mut mailbox: Vec<VecDeque<f64>> = vec![VecDeque::new(); channels.len()];
+        let mut pending_colls: Vec<PendingColl> = program
+            .groups
+            .iter()
+            .map(|_| PendingColl {
+                kind: CollectiveKind::Barrier,
+                max_clock: 0.0,
+                max_bytes: 0,
+                waiters: Vec::new(),
+            })
+            .collect();
 
         let mut messages: u64 = 0;
         let mut total_bytes: u64 = 0;
@@ -553,22 +581,20 @@ impl Replayer {
                                 },
                             });
                         }
-                        let key = (rank, dst, tag);
-                        mailbox.entry(key).or_default().push_back(arrival);
-                        if let Some(&waiter) = recv_waiters.get(&key) {
-                            recv_waiters.remove(&key);
-                            blocked[waiter] = None;
-                            if !queued[waiter] && !done[waiter] {
-                                queued[waiter] = true;
-                                runnable.push_back(waiter);
+                        let ch = cursors[rank].channel(&channels, rank);
+                        mailbox[ch as usize].push_back(arrival);
+                        if blocked[dst] == Some(Blocked::Recv { ch }) {
+                            blocked[dst] = None;
+                            if !queued[dst] && !done[dst] {
+                                queued[dst] = true;
+                                runnable.push_back(dst);
                             }
                         }
                         advance!();
                     }
                     Op::Recv { src, tag } => {
-                        let key = (src, rank, tag);
-                        let maybe = mailbox.get_mut(&key).and_then(|q| q.pop_front());
-                        match maybe {
+                        let ch = cursors[rank].channel(&channels, rank);
+                        match mailbox[ch as usize].pop_front() {
                             Some(arrival) => {
                                 let wait = (arrival - clock[rank]).max(0.0);
                                 clock[rank] += wait;
@@ -586,8 +612,7 @@ impl Replayer {
                                 advance!();
                             }
                             None => {
-                                blocked[rank] = Some(Blocked::Recv { src, tag });
-                                recv_waiters.insert(key, rank);
+                                blocked[rank] = Some(Blocked::Recv { ch });
                                 break 'run;
                             }
                         }
@@ -597,24 +622,21 @@ impl Replayer {
                             return Err(ReplayError::NotAMember { rank, group });
                         }
                         let gsize = program.groups[group].len();
-                        let entry = pending_colls.entry(group).or_insert_with(|| PendingColl {
-                            kind,
-                            arrived: 0,
-                            max_clock: 0.0,
-                            max_bytes: 0,
-                            waiters: Vec::with_capacity(gsize),
-                        });
-                        if entry.kind != kind {
+                        let coll = &mut pending_colls[group];
+                        if coll.waiters.is_empty() {
+                            coll.kind = kind;
+                            coll.max_clock = 0.0;
+                            coll.max_bytes = 0;
+                        } else if coll.kind != kind {
                             return Err(ReplayError::CollectiveMismatch {
                                 group,
-                                expected: entry.kind,
+                                expected: coll.kind,
                                 found: kind,
                             });
                         }
-                        entry.arrived += 1;
-                        entry.max_clock = entry.max_clock.max(clock[rank]);
-                        entry.max_bytes = entry.max_bytes.max(bytes);
-                        entry.waiters.push((rank, clock[rank]));
+                        coll.max_clock = coll.max_clock.max(clock[rank]);
+                        coll.max_bytes = coll.max_bytes.max(bytes);
+                        coll.waiters.push((rank, clock[rank]));
                         if LOGGED {
                             log.push(DesEvent {
                                 rank: rank as u32,
@@ -629,11 +651,10 @@ impl Replayer {
                         // now; it will be unblocked when the group is
                         // complete.
                         advance!();
-                        if entry.arrived == gsize {
-                            let coll = pending_colls.remove(&group).expect("just inserted");
+                        if coll.waiters.len() == gsize {
                             let t_end = coll.max_clock
                                 + collective_time(&self.machine, coll.kind, gsize, coll.max_bytes);
-                            for (r, at) in coll.waiters {
+                            for &(r, at) in &coll.waiters {
                                 let wait = t_end - at;
                                 clock[r] = t_end;
                                 charge_comm(r, wait, &phase, &mut comm_time, &mut phase_comm);
@@ -645,6 +666,7 @@ impl Replayer {
                                     }
                                 }
                             }
+                            coll.waiters.clear();
                             // This rank continues running.
                         } else {
                             blocked[rank] = Some(Blocked::Collective { group });
@@ -662,7 +684,8 @@ impl Replayer {
                 .filter(|&r| !done[r])
                 .map(|r| {
                     let why = match &blocked[r] {
-                        Some(Blocked::Recv { src, tag }) => {
+                        Some(Blocked::Recv { ch }) => {
+                            let (src, _, tag) = channels.key(*ch);
                             format!("recv from {src} tag {tag}")
                         }
                         Some(Blocked::Collective { group }) => {
@@ -811,12 +834,66 @@ mod tests {
     #[test]
     fn deadlock_detected() {
         let mut p = TraceProgram::new(2);
-        p.rank(0).recv(1, 0);
-        p.rank(1).recv(0, 0);
+        p.rank(0).recv(1, 3);
+        p.rank(1).recv(0, 5);
+        let err = Replayer::new(simple_machine()).run(&p).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "deadlock: 2 ranks blocked; rank 0: recv from 1 tag 3; rank 1: recv from 0 tag 5"
+        );
+    }
+
+    #[test]
+    fn deadlock_inside_repeat_bodies_names_what_each_rank_waits_on() {
+        // Blocked inside bodies after some traffic has matched, and on a
+        // collective.
+        let mut p = TraceProgram::new(3);
+        let g = p.add_group(vec![1, 2]);
+        p.rank(0).send(1, 8, 2);
+        p.rank(0).ops.push(Op::Repeat {
+            count: 3,
+            body: vec![Op::ComputeSecs(1.0), Op::Recv { src: 1, tag: 7 }],
+        });
+        p.rank(1).ops.push(Op::Repeat {
+            count: 2,
+            body: vec![Op::Recv { src: 0, tag: 2 }],
+        });
+        p.rank(2).collective(CollectiveKind::Barrier, g, 0);
         match Replayer::new(simple_machine()).run(&p) {
-            Err(ReplayError::Deadlock { blocked }) => assert_eq!(blocked.len(), 2),
+            Err(ReplayError::Deadlock { blocked }) => assert_eq!(
+                blocked,
+                vec![
+                    (0, "recv from 1 tag 7".to_string()),
+                    (1, "recv from 0 tag 2".to_string()),
+                    (2, format!("collective on group {g}")),
+                ]
+            ),
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn self_message_replays_and_matches() {
+        let mut p = TraceProgram::new(1);
+        p.rank(0).compute(KernelCost::flops(1.0));
+        p.rank(0).send(0, 10, 4);
+        p.rank(0).recv(0, 4);
+        let (out, log) = Replayer::new(simple_machine()).run_logged(&p).unwrap();
+        // A self-message is a memcpy: 10 bytes / (2 × 10 B/s).
+        assert_eq!(out.finish, vec![1.5]);
+        assert_eq!((out.messages, out.bytes), (1, 10));
+        assert_eq!(
+            log.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            vec![
+                DesEventKind::Send {
+                    dst: 0,
+                    tag: 4,
+                    bytes: 10
+                },
+                DesEventKind::Recv { src: 0, tag: 4 },
+                DesEventKind::Finish,
+            ]
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! run on: one node per expanded op, program-order edges within a rank,
 //! a matched-send edge per receive (FIFO per `(src, dst, tag)`, the
 //! mailbox discipline of [`crate::des::Replayer`]), and one shared
-//! [`cpx_obs::Meet`] per collective occurrence.
+//! [`cpx_obs::Meet`] per collective occurrence. Sends and receives are
+//! matched through the replayer's own dense channel index, so neither
+//! side hashes per message.
 //!
 //! The construction is *static* — no replay runs; matching follows from
 //! program order alone, exactly as the DES scheduler would resolve it.
@@ -15,8 +17,11 @@
 //! schedule agree **bit for bit**; [`validate_against_des`] checks that
 //! against a logged event stream, event by event.
 
+use std::collections::VecDeque;
+
 use cpx_obs::{Meet, Schedule, TaskGraph, TaskGraphParts, TaskKind, TaskNode};
 
+use crate::channels::Channels;
 use crate::collectives::collective_time;
 use crate::des::{DesEvent, DesEventKind};
 use crate::model::Machine;
@@ -52,14 +57,15 @@ pub fn build_task_graph(
     phase_names: &[String],
 ) -> Result<TaskGraph, String> {
     program.validate()?;
+    let channels = Channels::build(program)?;
     let n = program.n_ranks();
     let mut nodes: Vec<TaskNode> = Vec::new();
 
-    // Sends per (src, dst, tag), in sender program order — exactly the
-    // DES mailbox FIFO, because each key has a single sender.
-    use std::collections::HashMap;
-    let mut send_queues: HashMap<(usize, usize, u32), std::collections::VecDeque<usize>> =
-        HashMap::new();
+    // Send nodes per channel, in sender program order — exactly the DES
+    // mailbox FIFO, because each channel has a single sender.
+    let mut sends: Vec<VecDeque<usize>> = vec![VecDeque::new(); channels.len()];
+    // Receive nodes with their channel, in node order.
+    let mut recvs: Vec<(usize, u32)> = Vec::new();
     // Collective occurrences: per group, per occurrence index, the
     // member entries in rank-walk order.
     struct Entry {
@@ -71,165 +77,92 @@ pub fn build_task_graph(
         .take(program.groups.len())
         .collect();
 
-    for rank in 0..n {
+    for (rank, trace) in program.traces.iter().enumerate() {
         let mut prev: Option<usize> = None;
         let mut phase: u16 = 0;
         let mut occ_counter = vec![0usize; program.groups.len()];
-        // Expanded-op walk (Repeat bodies are not nested, like the DES
-        // cursor assumes).
-        let mut walk =
-            |op: &Op,
-             nodes: &mut Vec<TaskNode>,
-             send_queues: &mut HashMap<(usize, usize, u32), std::collections::VecDeque<usize>>,
-             occurrences: &mut Vec<Vec<Vec<Entry>>>,
-             prev: &mut Option<usize>,
-             phase: &mut u16|
-             -> Result<(), String> {
-                match *op {
-                    Op::Phase(p) => {
-                        *phase = p;
-                    }
-                    Op::Compute(cost) => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Compute,
-                            dur: machine.kernel_time(cost),
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::ComputeSecs(secs) => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Compute,
-                            dur: secs,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Send { dst, bytes, tag } => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Send {
-                                dst,
-                                tag,
-                                bytes: bytes as u64,
-                            },
-                            dur: machine.send_overhead,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        send_queues
-                            .entry((rank, dst, tag))
-                            .or_default()
-                            .push_back(id);
-                        *prev = Some(id);
-                    }
-                    Op::Recv { src, tag } => {
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            kind: TaskKind::Recv { src, tag },
-                            dur: 0.0,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Collective { kind, group, bytes } => {
-                        if group >= program.groups.len() {
-                            return Err(format!("rank {rank}: unknown group {group}"));
-                        }
-                        let id = nodes.len();
-                        nodes.push(TaskNode {
-                            rank,
-                            phase: *phase,
-                            // Meet index patched after the walk.
-                            kind: TaskKind::Collective { meet: usize::MAX },
-                            dur: 0.0,
-                            transfer: 0.0,
-                            prev: *prev,
-                            matched_send: None,
-                        });
-                        let occ = occ_counter[group];
-                        occ_counter[group] += 1;
-                        if occurrences[group].len() <= occ {
-                            occurrences[group].resize_with(occ + 1, Vec::new);
-                        }
-                        occurrences[group][occ].push(Entry {
-                            node: id,
-                            kind,
-                            bytes,
-                        });
-                        *prev = Some(id);
-                    }
-                    Op::Repeat { .. } => unreachable!("expanded by caller"),
-                }
-                Ok(())
+        // Expanded-op walk: a top-level op is a one-op body run once
+        // (`Repeat` bodies do not nest, as the DES cursor assumes).
+        for (pc, top) in trace.ops.iter().enumerate() {
+            let (count, body, in_body) = match top {
+                Op::Repeat { count, body } => (*count, body.as_slice(), true),
+                other => (1, std::slice::from_ref(other), false),
             };
-
-        for op in &program.traces[rank].ops {
-            match op {
-                Op::Repeat { count, body } => {
-                    for _ in 0..*count {
-                        for b in body {
-                            walk(
-                                b,
-                                &mut nodes,
-                                &mut send_queues,
-                                &mut occurrences,
-                                &mut prev,
-                                &mut phase,
-                            )?;
+            for _ in 0..count {
+                for (j, op) in body.iter().enumerate() {
+                    let channel = || channels.of(rank, pc, in_body.then_some(j));
+                    let id = nodes.len();
+                    let (kind, dur) = match *op {
+                        Op::Phase(p) => {
+                            phase = p;
+                            continue;
                         }
-                    }
+                        Op::Compute(cost) => (TaskKind::Compute, machine.kernel_time(cost)),
+                        Op::ComputeSecs(secs) => (TaskKind::Compute, secs),
+                        Op::Send { dst, bytes, tag } => {
+                            sends[channel() as usize].push_back(id);
+                            let bytes = bytes as u64;
+                            (TaskKind::Send { dst, tag, bytes }, machine.send_overhead)
+                        }
+                        Op::Recv { src, tag } => {
+                            recvs.push((id, channel()));
+                            (TaskKind::Recv { src, tag }, 0.0)
+                        }
+                        Op::Collective { kind, group, bytes } => {
+                            let occ = occ_counter[group];
+                            occ_counter[group] += 1;
+                            if occurrences[group].len() <= occ {
+                                occurrences[group].resize_with(occ + 1, Vec::new);
+                            }
+                            occurrences[group][occ].push(Entry {
+                                node: id,
+                                kind,
+                                bytes,
+                            });
+                            // Meet index patched after the walk.
+                            (TaskKind::Collective { meet: usize::MAX }, 0.0)
+                        }
+                        Op::Repeat { .. } => unreachable!("validated: bodies do not nest"),
+                    };
+                    nodes.push(TaskNode {
+                        rank,
+                        phase,
+                        kind,
+                        dur,
+                        transfer: 0.0,
+                        prev,
+                        matched_send: None,
+                    });
+                    prev = Some(id);
                 }
-                other => walk(
-                    other,
-                    &mut nodes,
-                    &mut send_queues,
-                    &mut occurrences,
-                    &mut prev,
-                    &mut phase,
-                )?,
             }
         }
     }
 
-    // Match receives to sends: receives on one key execute on a single
-    // rank in its program order, which is ascending node id — the pop
-    // order below is the DES match order.
-    for id in 0..nodes.len() {
-        if let TaskKind::Recv { src, tag } = nodes[id].kind {
-            let rank = nodes[id].rank;
-            let send = send_queues
-                .get_mut(&(src, rank, tag))
-                .and_then(|q| q.pop_front())
-                .ok_or_else(|| {
-                    format!("rank {rank}: recv from {src} tag {tag} has no matching send")
-                })?;
-            // The wire time lives on the receive only; the send keeps 0.
-            let TaskKind::Send { bytes, .. } = nodes[send].kind else {
-                unreachable!("send queues hold send nodes");
-            };
-            nodes[id].matched_send = Some(send);
-            nodes[id].transfer = machine.p2p_time(src, rank, bytes as usize);
-        }
+    // Match receives to sends: a channel's receives execute on a single
+    // rank in its program order, which is ascending node id, so its k-th
+    // receive takes its k-th send — the DES match order.
+    for &(id, ch) in &recvs {
+        let (src, rank, tag) = channels.key(ch);
+        let send = sends[ch as usize].pop_front().ok_or_else(|| {
+            format!("rank {rank}: recv from {src} tag {tag} has no matching send")
+        })?;
+        // The wire time lives on the receive only; the send keeps 0.
+        let TaskKind::Send { bytes, .. } = nodes[send].kind else {
+            unreachable!("channel queues hold send nodes");
+        };
+        nodes[id].matched_send = Some(send);
+        nodes[id].transfer = machine.p2p_time(src, rank, bytes as usize);
     }
-    if let Some(((src, dst, tag), _)) = send_queues.iter().find(|(_, q)| !q.is_empty()) {
+    // Report the first unmatched send in node order, so the error names
+    // the same message on every build.
+    let unmatched = sends
+        .iter()
+        .enumerate()
+        .filter_map(|(ch, queue)| Some((*queue.front()?, ch)))
+        .min();
+    if let Some((_, ch)) = unmatched {
+        let (src, dst, tag) = channels.key(ch as u32);
         return Err(format!("send {src}->{dst} tag {tag} is never received"));
     }
 
@@ -538,6 +471,51 @@ mod tests {
         prog.rank(1).recv(0, 9);
         let err = build_task_graph(&prog, &Machine::archer2(), &names()).unwrap_err();
         assert!(err.contains("no matching send"), "{err}");
+    }
+
+    #[test]
+    fn never_received_names_the_first_unmatched_send_in_node_order() {
+        let mut prog = TraceProgram::new(4);
+        prog.rank(0).send(1, 64, 1);
+        prog.rank(1).send(2, 64, 9);
+        prog.rank(2).send(3, 64, 5);
+        for _ in 0..16 {
+            let err = build_task_graph(&prog, &Machine::archer2(), &names()).unwrap_err();
+            assert_eq!(err, "send 0->1 tag 1 is never received");
+        }
+    }
+
+    #[test]
+    fn self_messages_match_inside_and_outside_bodies() {
+        let machine = Machine::archer2();
+        let mut prog = TraceProgram::new(2);
+        prog.rank(0).send(0, 512, 4);
+        prog.rank(0).ops.push(Op::Repeat {
+            count: 3,
+            body: vec![
+                Op::Recv { src: 0, tag: 4 },
+                Op::Compute(KernelCost::flops(1e6)),
+                Op::Send {
+                    dst: 0,
+                    bytes: 512,
+                    tag: 4,
+                },
+            ],
+        });
+        prog.rank(0).recv(0, 4);
+        prog.rank(1).compute(KernelCost::flops(1e3));
+        let graph = build_task_graph(&prog, &machine, &names()).unwrap();
+        for (id, node) in graph.nodes.iter().enumerate() {
+            if let TaskKind::Recv { .. } = node.kind {
+                // Each receive takes the send just before it.
+                assert_eq!(node.matched_send, Some(id - 1));
+            }
+        }
+        let sched = graph.schedule(&Rescale::none()).unwrap();
+        let (out, log) = Replayer::new(machine).run_logged(&prog).unwrap();
+        assert_eq!(out.messages, 4);
+        assert_eq!(sched.makespan.to_bits(), out.makespan().to_bits());
+        validate_against_des(&graph, &sched, &log).unwrap();
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! their actual data structures at the requested rank count, emit traces,
 //! and the replayer integrates the timing.
 
+mod channels;
 pub mod collectives;
 pub mod cost;
 pub mod des;

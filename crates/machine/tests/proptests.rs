@@ -1,10 +1,12 @@
 //! Property-based tests for the virtual testbed.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 
 use cpx_machine::{
     build_task_graph, scale_compute_by_phase, validate_against_des, CollectiveKind, KernelCost,
-    Machine, Op, Replayer, TraceProgram,
+    Machine, Op, ReplayOutcome, Replayer, TraceProgram,
 };
 use cpx_obs::Rescale;
 
@@ -35,6 +37,13 @@ fn ring_program(n: usize, steps: u32, flops: f64, bytes: usize) -> TraceProgram 
     p
 }
 
+/// One step of [`random_program`]: `(what, a, b, tag, x)`.
+type Step = (u8, usize, usize, u32, f64);
+
+fn steps(len: Range<usize>) -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..3, 0.0f64..1.0), len)
+}
+
 /// A random program built from `steps`, each `(what, a, b, tag, x)`
 /// applied to the ranks it names in one global order: compute on rank
 /// `a`, a phase marker, a message `a → b`, two messages `a → b` received
@@ -42,7 +51,7 @@ fn ring_program(n: usize, steps: u32, flops: f64, bytes: usize) -> TraceProgram 
 /// group or one of the sub-groups drawn from `masks`. Executing the
 /// steps in that order is a valid schedule, so the program never
 /// deadlocks, while ranks still block on messages from higher ranks.
-fn random_program(n: usize, masks: &[u64], steps: &[(u8, usize, usize, u32, f64)]) -> TraceProgram {
+fn random_program(n: usize, masks: &[u64], steps: &[Step]) -> TraceProgram {
     let mut p = TraceProgram::new(n);
     let mut groups = vec![p.add_world_group()];
     for &mask in masks {
@@ -87,6 +96,46 @@ fn random_program(n: usize, masks: &[u64], steps: &[(u8, usize, usize, u32, f64)
     p
 }
 
+/// [`random_program`]'s `prefix`, then its `body` wrapped in
+/// `Repeat { count }` on every rank, then its `suffix`, all over the
+/// same groups. The three draw tags from one small range, so the same
+/// channels carry messages inside and outside the bodies. Each part
+/// balances its own messages and collectives, so running them one after
+/// another, the body `count` times, is a valid schedule and the program
+/// never deadlocks.
+fn repeat_program(
+    n: usize,
+    masks: &[u64],
+    prefix: &[Step],
+    body: &[Step],
+    count: u32,
+    suffix: &[Step],
+) -> TraceProgram {
+    let mut p = random_program(n, masks, prefix);
+    let body = random_program(n, masks, body);
+    let suffix = random_program(n, masks, suffix);
+    for (r, trace) in p.traces.iter_mut().enumerate() {
+        trace.ops.push(Op::Repeat {
+            count,
+            body: body.traces[r].ops.clone(),
+        });
+        trace.ops.extend(suffix.traces[r].ops.iter().cloned());
+    }
+    p
+}
+
+/// Every number of a replay outcome, floats as bits.
+fn outcome_bits(out: &ReplayOutcome) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        bits(&out.finish),
+        bits(&out.compute_time),
+        bits(&out.comm_time),
+        out.messages,
+        out.bytes,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -94,7 +143,7 @@ proptest! {
     fn task_graph_schedule_and_what_ifs_equal_the_des(
         n in 2usize..10,
         masks in proptest::collection::vec(0u64..1024, 0..3),
-        steps in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0u32..3, 0.0f64..1.0), 1..60),
+        steps in steps(1..60),
         factors in proptest::collection::vec(0.25f64..4.0, 0..5),
         cores_per_node in 2usize..5,
     ) {
@@ -118,6 +167,39 @@ proptest! {
         prop_assert_eq!(predicted.to_bits(), measured.to_bits());
         let identity = graph.what_if_makespan(&Rescale::none()).unwrap();
         prop_assert_eq!(identity.to_bits(), sched.makespan.to_bits());
+    }
+
+    #[test]
+    fn repeat_bodies_replay_and_build_like_their_expansion(
+        n in 2usize..10,
+        masks in proptest::collection::vec(0u64..1024, 0..3),
+        prefix in steps(0..20),
+        body in steps(1..20),
+        count in 1u32..4,
+        suffix in steps(0..20),
+        cores_per_node in 2usize..5,
+    ) {
+        let program = repeat_program(n, &masks, &prefix, &body, count, &suffix);
+        let machine = Machine { cores_per_node, ..Machine::archer2() };
+        let replayer = Replayer::new(machine.clone());
+        let expanded = scale_compute_by_phase(&program, &machine, &[]);
+
+        let out = replayer.run(&program).unwrap();
+        let want = replayer.run(&expanded).unwrap();
+        prop_assert_eq!(outcome_bits(&out), outcome_bits(&want));
+        let (logged, log) = replayer.run_logged(&program).unwrap();
+        let (_, want_log) = replayer.run_logged(&expanded).unwrap();
+        prop_assert_eq!(outcome_bits(&logged), outcome_bits(&out));
+        let events = |log: &[cpx_machine::DesEvent]| {
+            log.iter().map(|e| (e.rank, e.vtime.to_bits(), e.kind)).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(events(&log), events(&want_log));
+
+        let names: Vec<String> = (0..4).map(|p| format!("phase {p}")).collect();
+        let graph = build_task_graph(&program, &machine, &names).unwrap();
+        let sched = graph.schedule(&Rescale::none()).unwrap();
+        prop_assert_eq!(sched.makespan.to_bits(), out.makespan().to_bits());
+        validate_against_des(&graph, &sched, &log).unwrap();
     }
 
     #[test]
