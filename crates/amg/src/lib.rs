@@ -25,7 +25,7 @@
 //! * [`cycle`] — V-cycles and Krylov-accelerated **K-cycles** (which the
 //!   paper notes converge faster but scale worse — our cost model
 //!   captures exactly that trade);
-//! * [`pcg`] — AMG-preconditioned conjugate gradients.
+//! * [`pcg`](mod@pcg) — AMG-preconditioned conjugate gradients.
 //!
 //! Every phase reports operation counts so the pressure-solver cost
 //! model is grounded in what the algorithms actually do.

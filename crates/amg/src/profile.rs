@@ -6,7 +6,7 @@
 //! [`cpx_obs`] spans (per level: smooth / restrict / prolong, plus the
 //! Galerkin SpGEMM setup) against a virtual clock advanced by a
 //! roofline work model over each kernel's measured
-//! [`SpOpStats`](cpx_sparse::SpOpStats). The clock never reads wall
+//! [`SpOpStats`]. The clock never reads wall
 //! time, so profiling the same hierarchy twice yields byte-identical
 //! trace exports — the determinism contract every `cpx-obs` exporter
 //! relies on.

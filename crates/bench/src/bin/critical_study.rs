@@ -43,8 +43,8 @@ use cpx_machine::{
     build_task_graph, scale_compute_by_phase, validate_against_des, Machine, Replayer,
 };
 use cpx_obs::{
-    blend_factor, critical_chrome_trace_json, path_report, Json, Meet, Rescale, SegClass,
-    TaskGraph, TaskGraphParts, TaskKind, TaskNode,
+    blend_factor, critical_chrome_trace_json, path_report, Json, Rescale, SegClass, TaskGraph,
+    TaskGraphBuilder,
 };
 use cpx_pressure::{PfSubPhase, PressureConfig, PressurePhase, PressureTraceModel};
 
@@ -131,49 +131,13 @@ fn mgcfd_gs_share(cfg: &cpx_mgcfd::MgCfdConfig, machine: &Machine) -> f64 {
 /// spray, with a zero-cost barrier after every step. Its makespan is
 /// the overlapped virtual time; the serial time is the plain sum.
 fn stc_overlap_graph(per_step: &[(f64, f64)]) -> TaskGraph {
-    let mut g = TaskGraphParts {
-        n_ranks: 2,
-        phase_names: vec!["(untracked)".to_string(), "stc".to_string()],
-        ..TaskGraphParts::default()
-    };
-    let mut prev = [None, None];
+    let mut g = TaskGraphBuilder::new(2, vec!["(untracked)".to_string(), "stc".to_string()]);
     for &(spray, solver) in per_step {
-        for (lane, dur) in [(0usize, solver), (1usize, spray)] {
-            let id = g.nodes.len();
-            g.nodes.push(TaskNode {
-                rank: lane,
-                phase: 1,
-                kind: TaskKind::Compute,
-                dur,
-                transfer: 0.0,
-                prev: prev[lane],
-                matched_send: None,
-            });
-            prev[lane] = Some(id);
-        }
-        let meet = g.meets.len();
-        let mut members = Vec::new();
-        for lane_prev in &mut prev {
-            let id = g.nodes.len();
-            g.nodes.push(TaskNode {
-                rank: members.len(),
-                phase: 1,
-                kind: TaskKind::Collective { meet },
-                dur: 0.0,
-                transfer: 0.0,
-                prev: *lane_prev,
-                matched_send: None,
-            });
-            members.push(id);
-            *lane_prev = Some(id);
-        }
-        g.meets.push(Meet {
-            members,
-            cost: 0.0,
-            label: "barrier",
-        });
+        g.compute(0, 1, solver);
+        g.compute(1, 1, spray);
+        g.meet([(0, 1), (1, 1)], 0.0, "barrier");
     }
-    g.into()
+    g.finish().expect("the overlap graph fits the plan")
 }
 
 #[allow(clippy::too_many_lines)]

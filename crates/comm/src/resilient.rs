@@ -17,7 +17,7 @@
 //! race (two survivors can observe the same failures in different
 //! orders and would build different groups, then deadlock waiting on
 //! each other's tag spaces). Instead every abandoned group runs one
-//! crash-tolerant agreement ([`Group::agree_shrink`], the analogue of
+//! crash-tolerant agreement (`Group::agree_shrink`, the analogue of
 //! ULFM's `MPI_Comm_agree` + `MPI_Comm_shrink`) on the *revoked*
 //! group's own reserved tags, and all survivors derive the successor
 //! from the agreement's uniform outcome.
@@ -41,7 +41,7 @@
 //!    joins the flooding agreement on the revoked group's tags,
 //!    contributing its newest checkpoint iteration. The outcome —
 //!    contributor set and minimum checkpoint — is uniform across all
-//!    survivors (see [`Group::agree_shrink`] for the argument), and
+//!    survivors (see `Group::agree_shrink` for the argument), and
 //!    every live member joins in bounded time (it is unblocked by a
 //!    participant's revocation, and participants wait for it: they
 //!    give up on a member only on its truthful dead or done mark). The

@@ -6,8 +6,8 @@
 //! (dead marks, done marks, group revocations) that make peer-death
 //! detection deterministic. Two backends implement it:
 //!
-//! * [`InProcTransport`] — the original single-process backend: one
-//!   crossbeam channel per rank, a process-local [`DeadRegistry`]. The
+//! * `InProcTransport` — the original single-process backend: one
+//!   crossbeam channel per rank, a process-local `DeadRegistry`. The
 //!   refactor is behaviour-preserving bit-for-bit; the PR 6 golden
 //!   traces are the proof.
 //! * [`crate::net::TcpTransport`] — ranks grouped into OS processes

@@ -1,7 +1,7 @@
 //! Fig-5-style phase profiles.
 //!
 //! A [`PhaseProfile`] turns a replay's per-phase
-//! [`PhaseBreakdown`](cpx_machine::des::PhaseBreakdown) into the
+//! [`PhaseBreakdown`] into the
 //! percentage table the paper's Fig 5 presents: aggregate rank-seconds
 //! of compute and communication per phase, with each phase's share of
 //! the total. Two canonical profiles:

@@ -129,7 +129,7 @@ fn surface_sample(ranks: &[usize], cu_p: usize) -> Vec<usize> {
 /// Phase-name table of the phased coupled program: index 0 is the
 /// untracked default, then one phase per app instance, then four per
 /// coupler unit (gather / search / interpolate / scatter), matching the
-/// ids [`build_program`] assigns when `phased` is set.
+/// ids `build_program` assigns when `phased` is set.
 pub fn coupled_phase_names(scenario: &Scenario) -> Vec<String> {
     let mut names = vec!["(untracked)".to_string()];
     for app in &scenario.apps {

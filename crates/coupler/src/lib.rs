@@ -22,7 +22,7 @@
 //! Modules: [`layout`] — MPMD rank-space layout for apps + CUs;
 //! [`search`] — brute-force and k-d-tree donor search plus the
 //! rotation-prefetching wrapper; [`interp`] — interpolation weights
-//! (partition of unity ⇒ constants transfer exactly); [`unit`] — the
+//! (partition of unity ⇒ constants transfer exactly); [`unit`](mod@unit) — the
 //! coupler unit tying both sides together; [`trace`] — the CU cost
 //! model for the virtual testbed.
 

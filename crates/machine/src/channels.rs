@@ -1,5 +1,5 @@
-//! Dense message channels: the send/receive matching index shared by
-//! the DES replayer and the task-graph builder.
+//! Dense message channels: the DES replayer's send/receive matching
+//! index.
 //!
 //! A channel is one `(src, dst, tag)` triple. Messages on a channel are
 //! matched first-in first-out, and each channel has exactly one sending

@@ -18,21 +18,27 @@
 //! ranks and millions of ops replay in well under a second. Replay is
 //! fully deterministic.
 //!
+//! This walk is the only place run-to-block order is decided. It takes
+//! one observer, told about every op as the walk executes it: a plain
+//! replay has none, [`Replayer::run_logged`] keeps an event log,
+//! [`Replayer::run_traced`] phase spans, and
+//! [`crate::graph::build_task_graph`] places each node of the task graph.
+//!
 //! Nothing on the per-message path hashes. Before a replay, one pass
 //! over the program's unexpanded op slots gives every `(src, dst, tag)`
 //! channel a dense id and records it per slot (the private channel
-//! index, shared with [`crate::graph::build_task_graph`]). Each
-//! channel's in-flight arrival times are a FIFO in a `Vec` indexed by
-//! that id. A blocked receive records its channel, so a send wakes rank
-//! `dst` exactly when `dst` is blocked on a receive on the send's
-//! channel. Each group keeps one pending-collective slot whose waiter
-//! buffer is reused from occurrence to occurrence.
+//! index). Each channel's in-flight messages — arrival time, plus
+//! whatever the observer keeps with them — are a FIFO in a `Vec`
+//! indexed by that id. A blocked receive records its channel, so a send
+//! wakes rank `dst` exactly when `dst` is blocked on a receive on the
+//! send's channel. Each group keeps one pending-collective slot whose
+//! waiter buffer is reused from occurrence to occurrence.
 
 use std::collections::VecDeque;
 
 use cpx_obs::{RankRecorder, TraceSession};
 
-use crate::channels::Channels;
+use crate::channels::{ChannelKey, Channels};
 use crate::collectives::collective_time;
 use crate::model::Machine;
 use crate::trace::{CollectiveKind, Op, PhaseId, RankTrace, TraceProgram};
@@ -194,6 +200,127 @@ enum Blocked {
     Collective { group: usize },
 }
 
+/// What a replay reports as it runs, beside its outcome: one hook per
+/// op, called as the walk executes it.
+pub(crate) trait Observer {
+    /// Kept with each in-flight message, beside its arrival time.
+    type Msg;
+
+    /// `rank` leaves phase `from` at `clock`.
+    fn phase(&mut self, _rank: usize, _from: PhaseId, _clock: f64) {}
+
+    /// `rank` computes for `dt` seconds in `phase`.
+    fn compute(&mut self, _rank: usize, _phase: PhaseId, _dt: f64) {}
+
+    /// `rank` sends `bytes` to `dst` on `tag`; the message spends `wire`
+    /// seconds on the wire, and the sender's clock reads `clock` after
+    /// the send.
+    fn send(
+        &mut self,
+        rank: usize,
+        phase: PhaseId,
+        clock: f64,
+        dst: usize,
+        tag: u32,
+        bytes: usize,
+        wire: f64,
+    ) -> Self::Msg;
+
+    /// `rank` receives `msg` from `src` on `tag`, its clock then reading
+    /// `clock`.
+    fn recv(
+        &mut self,
+        rank: usize,
+        phase: PhaseId,
+        clock: f64,
+        src: usize,
+        tag: u32,
+        msg: Self::Msg,
+    );
+
+    /// `rank` enters a `kind` collective on `group` at `clock`.
+    fn arrive(&mut self, _rank: usize, _clock: f64, _kind: CollectiveKind, _group: usize) {}
+
+    /// The last member of `group` entered its `kind` collective: every
+    /// member leaves `cost` seconds after the last entry. `phase` holds
+    /// every rank's phase.
+    fn meet(&mut self, _group: usize, _kind: CollectiveKind, _cost: f64, _phase: &[PhaseId]) {}
+
+    /// `rank` runs out of ops at `clock`, in `phase`.
+    fn finish(&mut self, _rank: usize, _phase: PhaseId, _clock: f64) {}
+
+    /// After a replay that completes: `msg`, the oldest message on
+    /// channel `key` that no receive took, once per such channel.
+    fn unreceived(&mut self, _key: ChannelKey, _msg: &Self::Msg) {}
+}
+
+/// A plain replay observes nothing.
+impl Observer for () {
+    type Msg = ();
+
+    fn send(&mut self, _: usize, _: PhaseId, _: f64, _: usize, _: u32, _: usize, _: f64) {}
+
+    fn recv(&mut self, _: usize, _: PhaseId, _: f64, _: usize, _: u32, _: ()) {}
+}
+
+/// A logged replay records each send, receive, collective entry and
+/// finish.
+impl Observer for Vec<DesEvent> {
+    type Msg = ();
+
+    fn send(
+        &mut self,
+        rank: usize,
+        _: PhaseId,
+        clock: f64,
+        dst: usize,
+        tag: u32,
+        bytes: usize,
+        _: f64,
+    ) {
+        let bytes = bytes.min(u32::MAX as usize) as u32;
+        self.push(DesEvent {
+            rank: rank as u32,
+            vtime: clock,
+            kind: DesEventKind::Send {
+                dst: dst as u32,
+                tag,
+                bytes,
+            },
+        });
+    }
+
+    fn recv(&mut self, rank: usize, _: PhaseId, clock: f64, src: usize, tag: u32, _: ()) {
+        self.push(DesEvent {
+            rank: rank as u32,
+            vtime: clock,
+            kind: DesEventKind::Recv {
+                src: src as u32,
+                tag,
+            },
+        });
+    }
+
+    fn arrive(&mut self, rank: usize, clock: f64, kind: CollectiveKind, group: usize) {
+        self.push(DesEvent {
+            rank: rank as u32,
+            vtime: clock,
+            kind: DesEventKind::Collective {
+                kind,
+                group: group as u32,
+            },
+        });
+    }
+
+    fn finish(&mut self, rank: usize, _: PhaseId, clock: f64) {
+        self.push(DesEvent {
+            rank: rank as u32,
+            vtime: clock,
+            kind: DesEventKind::Finish,
+        });
+    }
+}
+
 /// Per-rank phase-segment recorder for traced replays: every maximal
 /// run of virtual time a rank spends in one phase becomes a span on
 /// that rank's timeline.
@@ -235,6 +362,22 @@ impl DesTracer {
                 .map(|(rank, rec)| rec.into_timeline(rank, finish[rank]))
                 .collect(),
         )
+    }
+}
+
+impl Observer for DesTracer {
+    type Msg = ();
+
+    fn phase(&mut self, rank: usize, from: PhaseId, clock: f64) {
+        self.close_segment(rank, from, clock);
+    }
+
+    fn send(&mut self, _: usize, _: PhaseId, _: f64, _: usize, _: u32, _: usize, _: f64) {}
+
+    fn recv(&mut self, _: usize, _: PhaseId, _: f64, _: usize, _: u32, _: ()) {}
+
+    fn finish(&mut self, rank: usize, phase: PhaseId, clock: f64) {
+        self.close_segment(rank, phase, clock);
     }
 }
 
@@ -324,7 +467,7 @@ impl Replayer {
 
     /// Replay `program`, returning per-rank timings.
     pub fn run(&self, program: &TraceProgram) -> Result<ReplayOutcome, ReplayError> {
-        self.run_inner::<false>(program, None, &mut Vec::new())
+        self.run_inner(program, &mut ())
     }
 
     /// Replay `program` and additionally return the deterministic
@@ -363,7 +506,7 @@ impl Replayer {
             .sum::<usize>()
             + program.n_ranks();
         log.reserve(cap);
-        self.run_inner::<true>(program, None, log)
+        self.run_inner(program, log)
     }
 
     /// Replay `program` with span recording: alongside the outcome,
@@ -377,19 +520,18 @@ impl Replayer {
         phase_names: &[&str],
     ) -> Result<(ReplayOutcome, TraceSession), ReplayError> {
         let mut tracer = DesTracer::new(program.n_ranks(), phase_names);
-        let out = self.run_inner::<false>(program, Some(&mut tracer), &mut Vec::new())?;
+        let out = self.run_inner(program, &mut tracer)?;
         let session = tracer.into_session(&out.finish);
         Ok((out, session))
     }
 
-    // Monomorphized over `LOGGED` so the unlogged replay carries zero
-    // event-recording code in its hot loop, and the logged one records
-    // with straight-line pushes (no per-event `Option` dispatch).
-    fn run_inner<const LOGGED: bool>(
+    /// The replay walk, telling `obs` about every op it executes.
+    /// Monomorphized per observer, so a plain replay carries no
+    /// observing code in its hot loop.
+    pub(crate) fn run_inner<O: Observer>(
         &self,
         program: &TraceProgram,
-        mut tracer: Option<&mut DesTracer>,
-        log: &mut Vec<DesEvent>,
+        obs: &mut O,
     ) -> Result<ReplayOutcome, ReplayError> {
         program.validate().map_err(ReplayError::Invalid)?;
         let channels = Channels::build(program).map_err(ReplayError::Invalid)?;
@@ -416,8 +558,10 @@ impl Replayer {
         let mut phase_compute = vec![vec![0.0f64; n]; self.n_phases];
         let mut phase_comm = vec![vec![0.0f64; n]; self.n_phases];
 
-        // Per channel: FIFO of arrival times.
-        let mut mailbox: Vec<VecDeque<f64>> = vec![VecDeque::new(); channels.len()];
+        // Per channel: FIFO of arrival times and what `obs` keeps.
+        let mut mailbox: Vec<VecDeque<(f64, O::Msg)>> = std::iter::repeat_with(VecDeque::new)
+            .take(channels.len())
+            .collect();
         let mut pending_colls: Vec<PendingColl> = program
             .groups
             .iter()
@@ -477,16 +621,7 @@ impl Replayer {
                 let op: &Op = loop {
                     if cur.pc >= ops.len() {
                         done[rank] = true;
-                        if let Some(t) = tracer.as_deref_mut() {
-                            t.close_segment(rank, phase[rank], clock[rank]);
-                        }
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Finish,
-                            });
-                        }
+                        obs.finish(rank, phase[rank], clock[rank]);
                         break 'run;
                     }
                     match &ops[cur.pc] {
@@ -536,6 +671,7 @@ impl Replayer {
                         if p < phase_compute.len() {
                             phase_compute[p][rank] += dt;
                         }
+                        obs.compute(rank, phase[rank], dt);
                         advance!();
                     }
                     Op::ComputeSecs(dt) => {
@@ -547,19 +683,19 @@ impl Replayer {
                         if p < phase_compute.len() {
                             phase_compute[p][rank] += dt;
                         }
+                        obs.compute(rank, phase[rank], dt);
                         advance!();
                     }
                     Op::Phase(p) => {
                         if p != phase[rank] {
-                            if let Some(t) = tracer.as_deref_mut() {
-                                t.close_segment(rank, phase[rank], clock[rank]);
-                            }
+                            obs.phase(rank, phase[rank], clock[rank]);
                             phase[rank] = p;
                         }
                         advance!();
                     }
                     Op::Send { dst, bytes, tag } => {
-                        let arrival = clock[rank] + self.machine.p2p_time(rank, dst, bytes);
+                        let wire = self.machine.p2p_time(rank, dst, bytes);
+                        let arrival = clock[rank] + wire;
                         clock[rank] += self.machine.send_overhead;
                         charge_comm(
                             rank,
@@ -570,19 +706,9 @@ impl Replayer {
                         );
                         messages += 1;
                         total_bytes += bytes as u64;
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Send {
-                                    dst: dst as u32,
-                                    tag,
-                                    bytes: bytes.min(u32::MAX as usize) as u32,
-                                },
-                            });
-                        }
+                        let msg = obs.send(rank, phase[rank], clock[rank], dst, tag, bytes, wire);
                         let ch = cursors[rank].channel(&channels, rank);
-                        mailbox[ch as usize].push_back(arrival);
+                        mailbox[ch as usize].push_back((arrival, msg));
                         if blocked[dst] == Some(Blocked::Recv { ch }) {
                             blocked[dst] = None;
                             if !queued[dst] && !done[dst] {
@@ -595,20 +721,11 @@ impl Replayer {
                     Op::Recv { src, tag } => {
                         let ch = cursors[rank].channel(&channels, rank);
                         match mailbox[ch as usize].pop_front() {
-                            Some(arrival) => {
+                            Some((arrival, msg)) => {
                                 let wait = (arrival - clock[rank]).max(0.0);
                                 clock[rank] += wait;
                                 charge_comm(rank, wait, &phase, &mut comm_time, &mut phase_comm);
-                                if LOGGED {
-                                    log.push(DesEvent {
-                                        rank: rank as u32,
-                                        vtime: clock[rank],
-                                        kind: DesEventKind::Recv {
-                                            src: src as u32,
-                                            tag,
-                                        },
-                                    });
-                                }
+                                obs.recv(rank, phase[rank], clock[rank], src, tag, msg);
                                 advance!();
                             }
                             None => {
@@ -637,23 +754,16 @@ impl Replayer {
                         coll.max_clock = coll.max_clock.max(clock[rank]);
                         coll.max_bytes = coll.max_bytes.max(bytes);
                         coll.waiters.push((rank, clock[rank]));
-                        if LOGGED {
-                            log.push(DesEvent {
-                                rank: rank as u32,
-                                vtime: clock[rank],
-                                kind: DesEventKind::Collective {
-                                    kind,
-                                    group: group as u32,
-                                },
-                            });
-                        }
+                        obs.arrive(rank, clock[rank], kind, group);
                         // Advance this rank's cursor past the collective
                         // now; it will be unblocked when the group is
                         // complete.
                         advance!();
                         if coll.waiters.len() == gsize {
-                            let t_end = coll.max_clock
-                                + collective_time(&self.machine, coll.kind, gsize, coll.max_bytes);
+                            let cost =
+                                collective_time(&self.machine, coll.kind, gsize, coll.max_bytes);
+                            let t_end = coll.max_clock + cost;
+                            obs.meet(group, coll.kind, cost, &phase);
                             for &(r, at) in &coll.waiters {
                                 let wait = t_end - at;
                                 clock[r] = t_end;
@@ -699,6 +809,11 @@ impl Replayer {
             return Err(ReplayError::Deadlock {
                 blocked: blocked_list,
             });
+        }
+        for (ch, queue) in mailbox.iter().enumerate() {
+            if let Some((_, msg)) = queue.front() {
+                obs.unreceived(channels.key(ch as u32), msg);
+            }
         }
 
         let phases = if self.n_phases > 0 {

@@ -410,31 +410,12 @@ mod tests {
         use crate::critical::{PathSegment, Rescale};
         // Two-rank graph: compute then a message bound; the path has a
         // compute and a transfer segment.
-        let g = TaskGraph::from(crate::TaskGraphParts {
-            nodes: vec![
-                crate::TaskNode {
-                    rank: 0,
-                    phase: 1,
-                    kind: crate::TaskKind::Compute,
-                    dur: 3.0,
-                    transfer: 0.0,
-                    prev: None,
-                    matched_send: None,
-                },
-                crate::TaskNode {
-                    rank: 1,
-                    phase: 1,
-                    kind: crate::TaskKind::Recv { src: 0, tag: 5 },
-                    dur: 0.0,
-                    transfer: 2.0,
-                    prev: None,
-                    matched_send: Some(0),
-                },
-            ],
-            meets: vec![],
-            n_ranks: 2,
-            phase_names: vec!["(untracked)".into(), "solve \"x\"".into()],
-        });
+        let mut b =
+            crate::TaskGraphBuilder::new(2, vec!["(untracked)".into(), "solve \"x\"".into()]);
+        b.compute(0, 1, 3.0);
+        let msg = b.send(0, 1, 0.0, 5, 2.0);
+        b.recv(1, 1, msg);
+        let g = b.finish().unwrap();
         let sched = g.schedule(&Rescale::none()).unwrap();
         let path = g.critical_path(&sched);
         assert!(!path.segments.is_empty());

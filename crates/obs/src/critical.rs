@@ -4,16 +4,17 @@
 //! every compute burst, point-to-point message and collective becomes a
 //! node, ordered by the two dependence kinds the testbed has — program
 //! order within a rank, and message/collective arrivals across ranks.
-//! The graph is built *offline* from artifacts the workspace already
-//! records (a `TraceProgram` walked against a machine model in
-//! `cpx-machine`, or a `.cpxr` event trace in `cpx-replay`); nothing
-//! here touches a hot path.
+//! `cpx_machine::build_task_graph` records one while the DES replays a
+//! program; nothing here touches a hot path.
 //!
-//! A builder fills a [`TaskGraphParts`] and freezes it into a
-//! [`TaskGraph`], which can no longer be edited. The first schedule or
-//! what-if compiles the frozen graph into a sweep plan: its nodes in the
-//! order `cpx_machine::des` visits them, laid out as flat arrays. Every
-//! later call reuses the plan.
+//! A [`TaskGraphBuilder`] places nodes one at a time, in an order a
+//! forward sweep can follow: each node after its rank's last one, a
+//! receive after the send whose handle it takes, and the members of a
+//! collective together, in ascending rank. So every graph that can be
+//! built can be scheduled. The built graph *is* the sweep plan: its
+//! nodes in placement order, laid out as flat arrays, plus a read-only
+//! table of the nodes by id ([`Plan::nodes`]) that every per-node output
+//! is indexed by.
 //!
 //! Three analyses run on a graph:
 //!
@@ -34,163 +35,311 @@
 //! interconnect/coupler change) and the new makespan — hence the
 //! end-to-end speedup — falls out without re-deriving the program.
 
-use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::ops::Deref;
-use std::sync::OnceLock;
 
 use crate::Json;
 
-/// Index of a node in [`TaskGraphParts::nodes`].
+/// Index of a node in [`Plan::nodes`]: each rank's nodes in program
+/// order, ranks concatenated.
 pub type NodeId = usize;
 
-/// What a node does. Durations live on the node ([`TaskNode::dur`]) for
-/// the rigid kinds (compute, send overhead); receives and collectives
-/// are *elastic* — their cost depends on when dependencies arrive.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskKind {
-    /// Local computation of `dur` seconds.
+/// What a node does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Local computation: ends after its rescaled duration.
     Compute,
-    /// Eager send: the sender is charged `dur` = software overhead; the
-    /// payload travels on the wire for [`TaskNode::transfer`] seconds
-    /// measured from the send's *start* (the DES convention).
-    Send {
-        /// Destination rank.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// Blocking receive matched to a send node.
-    Recv {
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-    },
-    /// One member's participation in a collective; the shared occurrence
-    /// is [`TaskGraphParts::meets`]`[meet]`.
-    Collective {
-        /// Index into [`TaskGraphParts::meets`].
-        meet: usize,
-    },
+    /// Eager send: ends after the send overhead, which is never
+    /// rescaled. Its message reaches the receiver its wire time after
+    /// the send *starts* (the DES convention).
+    Send,
+    /// Blocking receive: ends when its message arrives, if it has not
+    /// yet.
+    Recv,
+    /// One member's part in a collective: leaves with the whole meet.
+    Meet,
 }
 
-/// One node of the happens-before graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskNode {
-    /// Rank the node executes on.
-    pub rank: usize,
-    /// Phase id active when the node runs (0 = untracked).
+/// One node of a built graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node {
+    /// Rank the node runs on.
+    pub rank: u32,
+    /// Phase id active when it runs (0 = untracked).
     pub phase: u16,
-    /// What the node does.
-    pub kind: TaskKind,
-    /// Rigid duration in seconds (compute time or send overhead; 0 for
-    /// elastic kinds).
-    pub dur: f64,
-    /// Wire time of the matched message, for `Recv` nodes: the payload
-    /// arrives at `start(send) + transfer`. 0 otherwise.
-    pub transfer: f64,
-    /// Previous node on the same rank (program order), if any.
-    pub prev: Option<NodeId>,
-    /// The matched `Send` node, for `Recv` nodes.
-    pub matched_send: Option<NodeId>,
+    /// What it does.
+    pub step: Step,
+    /// Its position in the plan.
+    pos: Link,
 }
 
-/// One collective occurrence: the set of member nodes (in group rank
-/// order) plus the modelled cost charged after the last member arrives.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Meet {
-    /// Member nodes, in group rank order.
-    pub members: Vec<NodeId>,
-    /// Collective cost in seconds, charged after the last entry.
-    pub cost: f64,
-    /// Human label (e.g. `"allreduce"`) for blamed-span output.
-    pub label: &'static str,
+/// A message in flight, from the [`TaskGraphBuilder::send`] that placed
+/// its send to the [`TaskGraphBuilder::recv`] that takes it. It is not
+/// `Clone`, so no send is received twice.
+#[derive(Debug)]
+pub struct Sent {
+    /// Position of the send.
+    pos: Link,
+    /// Seconds on the wire.
+    wire: f64,
 }
 
-/// The parts of a [`TaskGraph`], filled in by a builder and then frozen
-/// with [`TaskGraph::from`].
+/// A built graph, read through a [`TaskGraph`]: the sweep plan, which
+/// holds the nodes in placement order as flat arrays indexed by
+/// *position*, and the node table by id.
 #[derive(Debug, Clone, Default)]
-pub struct TaskGraphParts {
-    /// All nodes; program order within a rank, ranks concatenated.
-    pub nodes: Vec<TaskNode>,
-    /// Collective occurrences referenced by `TaskKind::Collective`.
-    pub meets: Vec<Meet>,
+pub struct Plan {
+    /// Every node, by id.
+    pub nodes: Vec<Node>,
     /// Number of ranks.
     pub n_ranks: usize,
     /// Phase id → display name (index 0 = untracked).
     pub phase_names: Vec<String>,
+    /// Node id at each position.
+    id: Vec<Link>,
+    /// Position of the node's rank's previous node ([`NONE`] for its
+    /// first).
+    prev: Vec<Link>,
+    step: Vec<Step>,
+    /// A compute node's phase, a send's tag, a receive's send position,
+    /// a member's meet.
+    key: Vec<u32>,
+    /// The unscaled cost: a rigid node's duration, a receive's wire
+    /// time, 0 for a member.
+    cost: Vec<f64>,
+    /// Per receive, in position order: its send's `prev` position and
+    /// tag, so the sweep reads them in stride.
+    sent: Vec<(Link, u32)>,
+    meets: Vec<Meet>,
 }
 
-/// The causal graph of one run, frozen: its [`TaskGraphParts`] are
-/// readable through `Deref` but cannot be changed. The first
-/// [`TaskGraph::schedule`] or [`TaskGraph::what_if_makespan`] compiles
-/// the graph into a sweep plan and caches it; since no edge or cost can
-/// change afterwards, the plan cannot go stale.
-///
-/// ```
-/// use cpx_obs::{Rescale, TaskGraph, TaskGraphParts, TaskKind, TaskNode};
-///
-/// let graph = TaskGraph::from(TaskGraphParts {
-///     nodes: vec![TaskNode {
-///         rank: 0,
-///         phase: 0,
-///         kind: TaskKind::Compute,
-///         dur: 2.0,
-///         transfer: 0.0,
-///         prev: None,
-///         matched_send: None,
-///     }],
-///     n_ranks: 1,
-///     ..TaskGraphParts::default()
-/// });
-/// assert_eq!(graph.nodes.len(), 1);
-/// assert_eq!(graph.schedule(&Rescale::none()).unwrap().end, [2.0]);
-/// ```
-///
-/// Editing a built graph does not compile, neither a node's fields:
-///
-/// ```compile_fail,E0596
-/// # use cpx_obs::{TaskGraph, TaskGraphParts};
-/// let mut graph = TaskGraph::from(TaskGraphParts::default());
-/// graph.nodes[0].dur = 1.0;
-/// ```
-///
-/// nor the node list:
-///
-/// ```compile_fail,E0596
-/// # use cpx_obs::{TaskGraph, TaskGraphParts};
-/// let mut graph = TaskGraph::from(TaskGraphParts::default());
-/// let node = graph.nodes[0].clone();
-/// graph.nodes.push(node);
-/// ```
-#[derive(Clone)]
-pub struct TaskGraph {
-    parts: TaskGraphParts,
-    plan: OnceLock<Result<Plan, GraphError>>,
+/// One collective occurrence: its members fill the `size` positions
+/// from `first`, in ascending rank, and all leave `cost` seconds after
+/// the last one enters.
+#[derive(Debug, Clone)]
+struct Meet {
+    first: Link,
+    size: Link,
+    cost: f64,
+    /// Human label (e.g. `"allreduce"`) for blamed-span output.
+    label: &'static str,
 }
 
-impl From<TaskGraphParts> for TaskGraph {
-    fn from(parts: TaskGraphParts) -> TaskGraph {
-        TaskGraph {
-            parts,
-            plan: OnceLock::new(),
+/// A node position or id in the plan's 32-bit arrays: 32 bits halve
+/// their memory traffic, and the sweep is bound by memory traffic.
+type Link = u32;
+/// "No node" in a link array.
+const NONE: Link = Link::MAX;
+
+/// Why a [`TaskGraphBuilder`] could not finish its graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GraphError {
+    /// More nodes than the plan's 32-bit positions can index.
+    TooLarge {
+        /// The graph's node count.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::TooLarge { nodes } => {
+                write!(f, "{nodes} nodes exceed the sweep plan's 32-bit positions")
+            }
         }
     }
 }
 
-impl Deref for TaskGraph {
-    type Target = TaskGraphParts;
+impl std::error::Error for GraphError {}
 
-    fn deref(&self) -> &TaskGraphParts {
-        &self.parts
+/// Places the nodes of a [`TaskGraph`] in an order the sweep can follow
+/// (see the module docs). A node's id is its place in its rank's
+/// program order, after every lower rank's nodes, whatever order the
+/// ranks are interleaved in.
+///
+/// ```
+/// use cpx_obs::{Rescale, TaskGraphBuilder};
+///
+/// let mut b = TaskGraphBuilder::new(2, vec!["(untracked)".into()]);
+/// b.compute(1, 0, 2.0);
+/// let msg = b.send(1, 0, 0.5, 7, 1.0);
+/// b.recv(0, 0, msg);
+/// let graph = b.finish().unwrap();
+/// assert_eq!(graph.nodes.len(), 3);
+/// // Rank 0's receive is node 0.
+/// assert_eq!(graph.schedule(&Rescale::none()).unwrap().end, [3.0, 2.0, 2.5]);
+/// ```
+///
+/// A message is received at most once:
+///
+/// ```compile_fail,E0382
+/// # use cpx_obs::TaskGraphBuilder;
+/// let mut b = TaskGraphBuilder::new(2, vec![]);
+/// let msg = b.send(0, 0, 0.0, 0, 1.0);
+/// b.recv(1, 0, msg);
+/// b.recv(1, 0, msg);
+/// ```
+///
+/// and a built graph cannot be edited, neither its nodes:
+///
+/// ```compile_fail,E0596
+/// # use cpx_obs::TaskGraphBuilder;
+/// let mut b = TaskGraphBuilder::new(1, vec![]);
+/// b.compute(0, 0, 1.0);
+/// let mut graph = b.finish().unwrap();
+/// graph.nodes[0].phase = 1;
+/// ```
+///
+/// nor its phase names:
+///
+/// ```compile_fail,E0596
+/// # use cpx_obs::TaskGraphBuilder;
+/// let mut graph = TaskGraphBuilder::new(1, vec![]).finish().unwrap();
+/// graph.phase_names.push("more".into());
+/// ```
+#[derive(Debug)]
+pub struct TaskGraphBuilder {
+    /// The plan so far, with `nodes` in position order until
+    /// [`TaskGraphBuilder::finish`] numbers them.
+    plan: Plan,
+    /// Per rank: the position of its last node ([`NONE`] before its
+    /// first).
+    last: Vec<Link>,
+}
+
+impl TaskGraphBuilder {
+    /// An empty graph over `n_ranks` ranks.
+    pub fn new(n_ranks: usize, phase_names: Vec<String>) -> Self {
+        TaskGraphBuilder {
+            plan: Plan {
+                n_ranks,
+                phase_names,
+                ..Plan::default()
+            },
+            last: vec![NONE; n_ranks],
+        }
+    }
+
+    /// Position of the next node. Past [`NONE`] it wraps, and
+    /// [`TaskGraphBuilder::finish`] rejects the graph.
+    fn next(&self) -> Link {
+        self.plan.prev.len() as Link
+    }
+
+    /// Place a node on `rank`, after the rank's last node.
+    fn place(&mut self, rank: usize, phase: u16, step: Step, key: u32, cost: f64) {
+        let pos = self.next();
+        let plan = &mut self.plan;
+        plan.prev.push(std::mem::replace(&mut self.last[rank], pos));
+        plan.step.push(step);
+        plan.key.push(key);
+        plan.cost.push(cost);
+        plan.nodes.push(Node {
+            rank: rank as u32,
+            phase,
+            step,
+            pos,
+        });
+    }
+
+    /// Place `dur` seconds of compute on `rank`.
+    pub fn compute(&mut self, rank: usize, phase: u16, dur: f64) {
+        self.place(rank, phase, Step::Compute, u32::from(phase), dur);
+    }
+
+    /// Place a send on `rank` that costs the sender `overhead` seconds;
+    /// its message, tagged `tag`, spends `wire` seconds on the wire.
+    pub fn send(&mut self, rank: usize, phase: u16, overhead: f64, tag: u32, wire: f64) -> Sent {
+        let pos = self.next();
+        self.place(rank, phase, Step::Send, tag, overhead);
+        Sent { pos, wire }
+    }
+
+    /// Place the receive of `msg` on `rank`.
+    pub fn recv(&mut self, rank: usize, phase: u16, msg: Sent) {
+        let send = msg.pos as usize;
+        let sent = (self.plan.prev[send], self.plan.key[send]);
+        self.plan.sent.push(sent);
+        self.place(rank, phase, Step::Recv, msg.pos, msg.wire);
+    }
+
+    /// Place one collective occurrence: a member on each of `members`'
+    /// `(rank, phase)`, all leaving `cost` seconds after the last one
+    /// enters.
+    ///
+    /// # Panics
+    ///
+    /// If the ranks are not strictly ascending.
+    pub fn meet(
+        &mut self,
+        members: impl IntoIterator<Item = (usize, u16)>,
+        cost: f64,
+        label: &'static str,
+    ) {
+        let meet = self.plan.meets.len() as u32;
+        let first = self.next();
+        let mut last = None;
+        for (rank, phase) in members {
+            assert!(last < Some(rank), "meet members must ascend by rank");
+            last = Some(rank);
+            self.place(rank, phase, Step::Meet, meet, 0.0);
+        }
+        let size = self.next().wrapping_sub(first);
+        self.plan.meets.push(Meet {
+            first,
+            size,
+            cost,
+            label,
+        });
+    }
+
+    /// The graph, with each node numbered by its rank and its place in
+    /// the rank's program order.
+    pub fn finish(self) -> Result<TaskGraph, GraphError> {
+        let mut plan = self.plan;
+        let n = plan.nodes.len();
+        if n >= NONE as usize {
+            return Err(GraphError::TooLarge { nodes: n });
+        }
+        // Each rank's first id follows every lower rank's nodes.
+        let mut next = vec![0 as Link; plan.n_ranks];
+        for node in &plan.nodes {
+            next[node.rank as usize] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut next {
+            sum += std::mem::replace(slot, sum);
+        }
+        let mut nodes = plan.nodes.clone();
+        plan.id = plan
+            .nodes
+            .iter()
+            .map(|node| {
+                let id = &mut next[node.rank as usize];
+                nodes[*id as usize] = *node;
+                *id += 1;
+                *id - 1
+            })
+            .collect();
+        plan.nodes = nodes;
+        Ok(TaskGraph { plan })
     }
 }
 
-impl std::fmt::Debug for TaskGraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("TaskGraph").field(&self.parts).finish()
+/// The causal graph of one run, built by a [`TaskGraphBuilder`]. Its
+/// [`Plan`] is readable through `Deref` but cannot be changed, so every
+/// schedule and what-if sweeps the graph that was built.
+#[derive(Debug, Clone)]
+pub struct TaskGraph {
+    plan: Plan,
+}
+
+impl Deref for TaskGraph {
+    type Target = Plan;
+
+    fn deref(&self) -> &Plan {
+        &self.plan
     }
 }
 
@@ -231,18 +380,6 @@ impl Rescale {
         }
         1.0
     }
-
-    /// Multiplier for the unscaled cost of a node with `step` and `key`
-    /// (see [`Step::of`]): send overheads and collectives are never
-    /// rescaled.
-    #[inline]
-    fn factor(&self, step: Step, key: u32) -> f64 {
-        match step {
-            Step::Compute => self.compute_factor(key as u16),
-            Step::Recv => self.transfer_factor(key),
-            Step::Send | Step::Meet => 1.0,
-        }
-    }
 }
 
 /// Blend a kernel-level speedup into a phase-level compute multiplier:
@@ -258,11 +395,11 @@ pub fn blend_factor(share: f64, speedup: f64) -> f64 {
 /// from.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    /// Node start times.
+    /// Node start times, by id.
     pub start: Vec<f64>,
-    /// Node end times.
+    /// Node end times, by id.
     pub end: Vec<f64>,
-    /// Exit time per meet.
+    /// Exit time per meet, in placement order.
     pub meet_end: Vec<f64>,
     /// Max end over all nodes (0.0 for an empty graph).
     pub makespan: f64,
@@ -273,144 +410,6 @@ pub struct Schedule {
     /// each node's effective duration and wire time from it with the
     /// sweep's own product, so they see the bits the sweep used.
     pub rescale: Rescale,
-}
-
-/// Why a [`TaskGraph`] cannot be scheduled. Compiling the sweep plan
-/// checks the graph's structure first, so a malformed graph yields one
-/// of these, on every call, instead of a panic or a hang.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphError {
-    /// `node`'s `field` (`"prev"`, `"matched_send"` or `"meet"`) names
-    /// an index past the end of the nodes or meets.
-    OutOfRange {
-        /// The node holding the bad index.
-        node: NodeId,
-        /// Which field holds it.
-        field: &'static str,
-        /// The index.
-        index: usize,
-    },
-    /// Two nodes name `node` as their `prev`: program order would fork.
-    Fork {
-        /// The node with two successors.
-        node: NodeId,
-    },
-    /// A receive without a matched send, or a matched send on a node
-    /// that is not a receive.
-    BadMatch {
-        /// The offending node.
-        node: NodeId,
-    },
-    /// Two receives are matched to the same send.
-    DoubleMatch {
-        /// The send both receives name.
-        send: NodeId,
-    },
-    /// Meet `meet` lists `node` although it is not a collective of that
-    /// meet or is listed twice, or `node` is a collective of `meet` that
-    /// its member list leaves out.
-    NotAMember {
-        /// The meet.
-        meet: usize,
-        /// The node.
-        node: NodeId,
-    },
-    /// `stuck` nodes never became ready: the dependencies form a cycle
-    /// (a receive matched to itself is the smallest one).
-    Cycle {
-        /// How many nodes never ran.
-        stuck: usize,
-    },
-    /// More nodes than the sweep plan's 32-bit positions can index.
-    TooLarge {
-        /// The graph's node count.
-        nodes: usize,
-    },
-}
-
-impl std::fmt::Display for GraphError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphError::OutOfRange { node, field, index } => {
-                write!(f, "node {node}: {field} {index} is out of range")
-            }
-            GraphError::Fork { node } => write!(f, "node {node} is the prev of two nodes"),
-            GraphError::BadMatch { node } => write!(
-                f,
-                "node {node}: every receive needs a matched send and no other node may have one"
-            ),
-            GraphError::DoubleMatch { send } => {
-                write!(f, "send {send} is matched by two receives")
-            }
-            GraphError::NotAMember { meet, node } => {
-                write!(f, "meet {meet} and node {node} disagree on membership")
-            }
-            GraphError::Cycle { stuck } => {
-                write!(f, "dependency cycle: {stuck} nodes never ran")
-            }
-            GraphError::TooLarge { nodes } => {
-                write!(f, "{nodes} nodes exceed the sweep plan's 32-bit positions")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GraphError {}
-
-/// A node id or plan position in the 32-bit arrays of the compile walk
-/// and the sweep plan: 32 bits halve their memory traffic, and the
-/// sweep is bound by memory traffic.
-type Link = u32;
-/// "No node" in a link array.
-const NONE: Link = Link::MAX;
-
-/// What the sweep does at a node.
-#[derive(Clone, Copy)]
-enum Step {
-    /// End after the rescaled duration.
-    Compute,
-    /// End after the send overhead, never rescaled.
-    Send,
-    /// End when the message arrives, if it has not yet.
-    Recv,
-    /// Leave with the whole meet.
-    Meet,
-}
-
-impl Step {
-    /// The node's step, the key its [`Rescale`] factor is looked up by
-    /// (a compute node's phase, a receive's tag, 0 otherwise) and the
-    /// unscaled cost that factor multiplies (a rigid node's duration, a
-    /// receive's wire time, 0 for a collective member).
-    fn of(node: &TaskNode) -> (Step, u32, f64) {
-        match node.kind {
-            TaskKind::Compute => (Step::Compute, u32::from(node.phase), node.dur),
-            TaskKind::Send { .. } => (Step::Send, 0, node.dur),
-            TaskKind::Recv { tag, .. } => (Step::Recv, tag, node.transfer),
-            TaskKind::Collective { .. } => (Step::Meet, 0, 0.0),
-        }
-    }
-}
-
-/// A graph compiled for sweeping: its nodes in visit order (see
-/// [`TaskGraph::order`]) as flat arrays indexed by *position*, so that
-/// a schedule or a what-if is one pass over them, front to back. Each
-/// meet's members fill consecutive positions, in member order.
-#[derive(Clone, Default)]
-struct Plan {
-    /// Node id at each position.
-    id: Vec<Link>,
-    /// Position of the node's `prev` ([`NONE`] for a chain head).
-    prev: Vec<Link>,
-    /// The node's [`Step::of`]: its step, factor key and unscaled cost.
-    step: Vec<Step>,
-    key: Vec<u32>,
-    cost: Vec<f64>,
-    /// Per receive, in position order: the position of its matched
-    /// send's `prev` ([`NONE`] when the send starts at 0).
-    sent: Vec<Link>,
-    /// Per meet, in position order of its block: the meet's index.
-    blocks: Vec<Link>,
 }
 
 /// One sweep's times, by plan position.
@@ -510,27 +509,51 @@ pub struct Attribution {
     pub wait: Vec<f64>,
 }
 
+impl Plan {
+    /// The cost of the node at position `k` under `rescale`: its
+    /// effective duration or, for a receive, its effective wire time (0
+    /// for a collective member). The sweep and the backward analyses all
+    /// evaluate this product of these two operands, so they see the same
+    /// bits.
+    #[inline]
+    fn scaled_cost(&self, k: usize, rescale: &Rescale) -> f64 {
+        let key = self.key[k];
+        self.cost[k]
+            * match self.step[k] {
+                Step::Compute => rescale.compute_factor(key as u16),
+                Step::Recv => rescale.transfer_factor(self.key[key as usize]),
+                Step::Send | Step::Meet => 1.0,
+            }
+    }
+
+    /// The positions of meet `m`'s members.
+    fn members(&self, m: usize) -> std::ops::Range<usize> {
+        let meet = &self.meets[m];
+        meet.first as usize..(meet.first + meet.size) as usize
+    }
+}
+
 impl TaskGraph {
-    /// Every node's times under `rescale`: one sweep over the compiled
-    /// plan. Errors on a malformed graph (see [`GraphError`]).
-    pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, GraphError> {
-        let plan = self.plan()?;
+    /// Every node's times under `rescale`: one sweep over the plan.
+    /// Every graph the builder can make can be scheduled, so this never
+    /// fails.
+    pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, Infallible> {
         let Sweep {
             end: by_pos,
             meet_end,
             makespan,
-        } = self.sweep(plan, rescale);
+        } = self.sweep(rescale);
         let n = by_pos.len();
         let mut end = vec![0.0f64; n];
-        for (&i, &e) in plan.id.iter().zip(&by_pos) {
+        for (&i, &e) in self.id.iter().zip(&by_pos) {
             end[i as usize] = e;
         }
         drop(by_pos);
         // A node starts when its `prev` ends, or at 0.
         let mut start = vec![0.0f64; n];
-        for (&i, &p) in plan.id.iter().zip(&plan.prev) {
+        for (&i, &p) in self.id.iter().zip(&self.prev) {
             if p != NONE {
-                start[i as usize] = end[plan.id[p as usize] as usize];
+                start[i as usize] = end[self.id[p as usize] as usize];
             }
         }
         // Lowest id on ties; node 0 when nothing ends after time 0.
@@ -551,39 +574,9 @@ impl TaskGraph {
 
     /// New makespan under `rescale` — the what-if engine's core query:
     /// the same sweep as [`TaskGraph::schedule`], keeping only the
-    /// makespan.
-    pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, GraphError> {
-        Ok(self.sweep(self.plan()?, rescale).makespan)
-    }
-
-    /// The order every sweep visits the nodes in: the run-to-block order
-    /// of `cpx_machine::des`, fixed once per graph. It is a permutation
-    /// of the node ids in which every node comes after its `prev` and
-    /// its `matched_send`, and the members of a meet are consecutive, in
-    /// member order, and come before any member's successor.
-    /// [`TaskGraph::slack`] walks it backwards and relies on all three.
-    pub fn order(
-        &self,
-    ) -> Result<impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_, GraphError> {
-        Ok(self.plan()?.id.iter().map(|&i| i as NodeId))
-    }
-
-    /// The compiled plan, compiled on first use. The graph cannot change
-    /// after it is built, so the cached plan (or error) stays right.
-    fn plan(&self) -> Result<&Plan, GraphError> {
-        self.plan
-            .get_or_init(|| self.compile())
-            .as_ref()
-            .map_err(GraphError::clone)
-    }
-
-    /// Node `i`'s cost under `rescale`: its effective duration or, for a
-    /// receive, its effective wire time (0 for a collective member). It
-    /// is the product the sweep evaluates, of the same two operands.
-    fn scaled_cost(&self, i: NodeId, rescale: &Rescale) -> f64 {
-        let node = &self.nodes[i];
-        let (step, key, cost) = Step::of(node);
-        cost * rescale.factor(step, key)
+    /// makespan. Never fails.
+    pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, Infallible> {
+        Ok(self.sweep(rescale).makespan)
     }
 
     /// Every node's end time under `rescale`, by plan position, in one
@@ -591,44 +584,42 @@ impl TaskGraph {
     /// expressions are evaluated: a rigid node ends at `start + cost`, a
     /// receive at `start + (arrival - start).max(0.0)` with the arrival
     /// computed from the send's start, and a meet's members all leave at
-    /// the `max` of their entries, folded from 0.0 in member order, plus
+    /// the `max` of their entries, folded from 0.0 in rank order, plus
     /// the meet's cost. A node reads only earlier positions, whose times
     /// are final, so each expression sees the DES's operands.
-    fn sweep(&self, plan: &Plan, rescale: &Rescale) -> Sweep {
-        let n = plan.id.len();
+    fn sweep(&self, rescale: &Rescale) -> Sweep {
+        let n = self.id.len();
         let mut end: Vec<f64> = Vec::with_capacity(n);
         let mut meet_end = vec![0.0f64; self.meets.len()];
         let mut makespan = 0.0f64;
-        let mut sent = plan.sent.iter();
-        let mut blocks = plan.blocks.iter();
+        let mut sent = self.sent.iter();
         // A node starts when its `prev` ends, or at 0.
         let start = |end: &[f64], p: Link| if p == NONE { 0.0 } else { end[p as usize] };
         while end.len() < n {
             let k = end.len();
-            let s = start(&end, plan.prev[k]);
-            let step = plan.step[k];
-            let cost = plan.cost[k] * rescale.factor(step, plan.key[k]);
-            let e = match step {
+            let s = start(&end, self.prev[k]);
+            let e = match self.step[k] {
                 Step::Compute | Step::Send => {
-                    let e = s + cost;
+                    let e = s + self.scaled_cost(k, rescale);
                     end.push(e);
                     e
                 }
                 Step::Recv => {
-                    let from = *sent.next().expect("one entry per receive");
-                    let arrival = start(&end, from) + cost;
+                    // `scaled_cost`'s product, with the send's `prev`
+                    // and tag read in stride.
+                    let &(from, tag) = sent.next().expect("one entry per receive");
+                    let arrival = start(&end, from) + self.cost[k] * rescale.transfer_factor(tag);
                     let e = s + (arrival - s).max(0.0);
                     end.push(e);
                     e
                 }
                 Step::Meet => {
-                    let m = *blocks.next().expect("one block per meet") as usize;
-                    let meet = &self.meets[m];
-                    let block = k..k + meet.members.len();
-                    let base = plan.prev[block.clone()]
+                    let m = self.key[k] as usize;
+                    let block = self.members(m);
+                    let base = self.prev[block.clone()]
                         .iter()
                         .fold(0.0f64, |b, &p| b.max(start(&end, p)));
-                    let exit = base + meet.cost;
+                    let exit = base + self.meets[m].cost;
                     meet_end[m] = exit;
                     end.resize(block.end, exit);
                     exit
@@ -645,254 +636,64 @@ impl TaskGraph {
         }
     }
 
-    /// Compile the sweep plan in one run-to-block walk over the
-    /// structure, which fixes the DES's visit order: run each
-    /// program-order chain from its head, in id order, until it reaches
-    /// a receive whose send has not been placed or a collective whose
-    /// meet is still missing members, and resume it when that send is
-    /// placed or the last member arrives, which places the whole meet in
-    /// member order. Each node is laid out as it is placed; everything
-    /// it refers to already has its position.
-    fn compile(&self) -> Result<Plan, GraphError> {
-        let n = self.nodes.len();
-        let (next, mut runnable) = self.chains()?;
-        let mut plan = Plan {
-            id: Vec::with_capacity(n),
-            prev: Vec::with_capacity(n),
-            cost: Vec::with_capacity(n),
-            step: Vec::with_capacity(n),
-            key: Vec::with_capacity(n),
-            ..Plan::default()
-        };
-        // Per node: its position once placed, NONE before.
-        let mut pos = vec![NONE; n];
-        // Per node not yet placed: the receive parked on it, if any.
-        let mut parked = vec![NONE; n];
-        let mut missing: Vec<usize> = self.meets.iter().map(|m| m.members.len()).collect();
-        let at = |pos: &[Link], p: Option<NodeId>| p.map_or(NONE, |p| pos[p]);
-
-        macro_rules! place {
-            ($i:expr) => {{
-                let i: NodeId = $i;
-                let node = &self.nodes[i];
-                pos[i] = plan.id.len() as Link;
-                plan.id.push(i as Link);
-                plan.prev.push(at(&pos, node.prev));
-                let (step, key, cost) = Step::of(node);
-                plan.step.push(step);
-                plan.key.push(key);
-                plan.cost.push(cost);
-                if let Some(send) = node.matched_send {
-                    plan.sent.push(at(&pos, self.nodes[send].prev));
-                }
-                if parked[i] != NONE {
-                    runnable.push_back(parked[i] as NodeId);
-                }
-            }};
-        }
-
-        while let Some(mut i) = runnable.pop_front() {
-            loop {
-                let node = &self.nodes[i];
-                match node.kind {
-                    TaskKind::Compute | TaskKind::Send { .. } => place!(i),
-                    TaskKind::Recv { .. } => {
-                        let send = node.matched_send.expect("chains() checked the match");
-                        if pos[send] == NONE {
-                            // Blocked: placing the send resumes it.
-                            parked[send] = i as Link;
-                            break;
-                        }
-                        place!(i);
-                    }
-                    TaskKind::Collective { meet } => {
-                        missing[meet] -= 1;
-                        if missing[meet] > 0 {
-                            // Blocked: the last member to arrive resumes it.
-                            break;
-                        }
-                        plan.blocks.push(meet as Link);
-                        for &mem in &self.meets[meet].members {
-                            place!(mem);
-                            if mem != i && next[mem] != NONE {
-                                runnable.push_back(next[mem] as NodeId);
-                            }
-                        }
-                    }
-                }
-                if next[i] == NONE {
-                    break;
-                }
-                i = next[i] as NodeId;
-            }
-        }
-
-        if plan.id.len() < n {
-            return Err(GraphError::Cycle {
-                stuck: n - plan.id.len(),
-            });
-        }
-        Ok(plan)
-    }
-
-    /// Every node's program-order successor ([`NONE`] at a chain's end)
-    /// and the chain heads in id order, after checking the structure
-    /// the sweep relies on: indices in range, no node the `prev`
-    /// of two nodes, a matched send on every receive and on nothing
-    /// else, no send matched twice, and each meet listing exactly the
-    /// collective nodes of that meet, once each.
-    fn chains(&self) -> Result<(Vec<Link>, VecDeque<NodeId>), GraphError> {
-        const LISTED: u8 = 1;
-        const MATCHED: u8 = 2;
-        let n = self.nodes.len();
-        if n >= NONE as usize {
-            return Err(GraphError::TooLarge { nodes: n });
-        }
-        let mut mark = vec![0u8; n];
-        for (m, meet) in self.meets.iter().enumerate() {
-            for &node in &meet.members {
-                let of_meet = matches!(
-                    self.nodes.get(node).map(|x| &x.kind),
-                    Some(&TaskKind::Collective { meet }) if meet == m
-                );
-                if !of_meet || mark[node] & LISTED != 0 {
-                    return Err(GraphError::NotAMember { meet: m, node });
-                }
-                mark[node] |= LISTED;
-            }
-        }
-        let mut next = vec![NONE; n];
-        let mut heads = VecDeque::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node.prev {
-                None => heads.push_back(i),
-                Some(p) => {
-                    let slot = next.get_mut(p).ok_or(GraphError::OutOfRange {
-                        node: i,
-                        field: "prev",
-                        index: p,
-                    })?;
-                    if *slot != NONE {
-                        return Err(GraphError::Fork { node: p });
-                    }
-                    *slot = i as Link;
-                }
-            }
-            match (&node.kind, node.matched_send) {
-                (TaskKind::Recv { .. }, Some(send)) => {
-                    let m = mark.get_mut(send).ok_or(GraphError::OutOfRange {
-                        node: i,
-                        field: "matched_send",
-                        index: send,
-                    })?;
-                    if *m & MATCHED != 0 {
-                        return Err(GraphError::DoubleMatch { send });
-                    }
-                    *m |= MATCHED;
-                }
-                (TaskKind::Recv { .. }, None) | (_, Some(_)) => {
-                    return Err(GraphError::BadMatch { node: i });
-                }
-                (&TaskKind::Collective { meet }, None) => {
-                    if meet >= self.meets.len() {
-                        return Err(GraphError::OutOfRange {
-                            node: i,
-                            field: "meet",
-                            index: meet,
-                        });
-                    }
-                    if mark[i] & LISTED == 0 {
-                        return Err(GraphError::NotAMember { meet, node: i });
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok((next, heads))
-    }
-
     /// Extract the critical path of `sched`, a schedule of this graph,
     /// by walking binding constraints backward from the sink.
     pub fn critical_path(&self, sched: &Schedule) -> CriticalPath {
         let mut segments = Vec::new();
-        let mut cur = sched.sink;
-        while let Some(i) = cur {
-            let node = &self.nodes[i];
-            let (s, e) = (sched.start[i], sched.end[i]);
-            match node.kind {
-                TaskKind::Compute => {
-                    if e > s {
-                        segments.push(PathSegment {
-                            rank: node.rank,
-                            phase: node.phase,
-                            class: SegClass::Compute,
-                            label: "compute",
-                            t0: s,
-                            t1: e,
-                        });
-                    }
-                    cur = node.prev;
-                }
-                TaskKind::Send { .. } => {
-                    if e > s {
-                        segments.push(PathSegment {
-                            rank: node.rank,
-                            phase: node.phase,
-                            class: SegClass::Comm,
-                            label: "send",
-                            t0: s,
-                            t1: e,
-                        });
-                    }
-                    cur = node.prev;
-                }
-                TaskKind::Recv { .. } => {
-                    let send = node.matched_send.expect("scheduled recv is matched");
-                    let arrival = sched.start[send] + self.scaled_cost(i, &sched.rescale);
+        let node = |k: usize| self.nodes[self.id[k] as usize];
+        let start = |k: usize| sched.start[self.id[k] as usize];
+        let mut cur = sched.sink.map_or(NONE, |i| self.nodes[i].pos);
+        while cur != NONE {
+            let k = cur as usize;
+            let Node { rank, phase, .. } = node(k);
+            let (s, e) = (start(k), sched.end[self.id[k] as usize]);
+            let mut push = |rank: u32, phase, class, label, t0| {
+                segments.push(PathSegment {
+                    rank: rank as usize,
+                    phase,
+                    class,
+                    label,
+                    t0,
+                    t1: e,
+                })
+            };
+            cur = self.prev[k];
+            match self.step[k] {
+                Step::Compute if e > s => push(rank, phase, SegClass::Compute, "compute", s),
+                Step::Send if e > s => push(rank, phase, SegClass::Comm, "send", s),
+                Step::Compute | Step::Send => {}
+                Step::Recv => {
+                    let send = self.key[k] as usize;
+                    let arrival = start(send) + self.scaled_cost(k, &sched.rescale);
                     if arrival > s {
                         // The message bound: the wire segment from the
                         // send's start to the arrival is on the path,
                         // and the walk continues on the *sender* before
-                        // the send was issued.
-                        segments.push(PathSegment {
-                            rank: self.nodes[send].rank,
-                            phase: node.phase,
-                            class: SegClass::Comm,
-                            label: "transfer",
-                            t0: sched.start[send],
-                            t1: e,
-                        });
-                        cur = self.nodes[send].prev;
-                    } else {
-                        // Arrived early: local program order bound.
-                        cur = node.prev;
+                        // the send was issued. Otherwise it arrived
+                        // early, and local program order binds.
+                        push(
+                            node(send).rank,
+                            phase,
+                            SegClass::Comm,
+                            "transfer",
+                            start(send),
+                        );
+                        cur = self.prev[send];
                     }
                 }
-                TaskKind::Collective { meet } => {
-                    let m = &self.meets[meet];
-                    // Last-arriving member (first on ties, in member
-                    // order) determines the exit.
-                    let mut base = 0.0f64;
-                    for &mem in &m.members {
-                        base = base.max(sched.start[mem]);
-                    }
-                    let det = m
-                        .members
-                        .iter()
-                        .copied()
-                        .find(|&mem| sched.start[mem] == base)
-                        .unwrap_or(i);
+                Step::Meet => {
+                    let m = self.key[k] as usize;
+                    let block = self.members(m);
+                    // Last-arriving member (lowest rank on ties)
+                    // determines the exit.
+                    let base = block.clone().map(start).fold(0.0f64, f64::max);
+                    let det = block.clone().find(|&p| start(p) == base).unwrap_or(k);
                     if e > base {
-                        segments.push(PathSegment {
-                            rank: self.nodes[det].rank,
-                            phase: self.nodes[det].phase,
-                            class: SegClass::Comm,
-                            label: m.label,
-                            t0: base,
-                            t1: e,
-                        });
+                        let det_node = node(det);
+                        let label = self.meets[m].label;
+                        push(det_node.rank, det_node.phase, SegClass::Comm, label, base);
                     }
-                    cur = self.nodes[det].prev;
+                    cur = self.prev[det];
                 }
             }
         }
@@ -907,60 +708,60 @@ impl TaskGraph {
     /// seconds the node's end could slip without moving the makespan.
     /// Nodes on the critical path have slack 0 (up to float roundoff).
     pub fn slack(&self, sched: &Schedule) -> Vec<f64> {
-        let n = self.nodes.len();
         let r = &sched.rescale;
-        let mut latest = vec![sched.makespan; n];
-        let mut meet_done = vec![false; self.meets.len()];
-        let order = self
-            .order()
-            .expect("a graph with a schedule has a compiled plan");
-        for i in order.rev() {
-            let node = &self.nodes[i];
-            match node.kind {
-                TaskKind::Collective { meet } => {
-                    if !meet_done[meet] {
-                        meet_done[meet] = true;
-                        let m = &self.meets[meet];
-                        // All members' dependents were processed (they
-                        // come later in topo), so member latests are
-                        // final: the meet may exit at the tightest one.
-                        let mut exit = f64::INFINITY;
-                        for &mem in &m.members {
-                            exit = exit.min(latest[mem]);
-                        }
-                        let entry_latest = exit - m.cost;
-                        for &mem in &m.members {
-                            if let Some(p) = self.nodes[mem].prev {
-                                latest[p] = latest[p].min(entry_latest);
-                            }
+        // Latest end by position, filled back to front: every node comes
+        // after its `prev` and its matched send, and a meet's members
+        // are consecutive and come before any member's successor.
+        let mut latest = vec![sched.makespan; self.id.len()];
+        let tighten = |latest: &mut [f64], p: Link, bound: f64| {
+            if p != NONE {
+                latest[p as usize] = latest[p as usize].min(bound);
+            }
+        };
+        for k in (0..self.id.len()).rev() {
+            let here = latest[k];
+            match self.step[k] {
+                Step::Meet => {
+                    let m = self.key[k] as usize;
+                    let block = self.members(m);
+                    // Seen from its last member, once all members'
+                    // dependents were processed, so their latests are
+                    // final: the meet may exit at the tightest one.
+                    if k + 1 == block.end {
+                        let exit = block
+                            .clone()
+                            .map(|p| latest[p])
+                            .fold(f64::INFINITY, f64::min);
+                        let entry_latest = exit - self.meets[m].cost;
+                        for p in block {
+                            tighten(&mut latest, self.prev[p], entry_latest);
                         }
                     }
                 }
-                TaskKind::Recv { .. } => {
+                Step::Recv => {
                     // Elastic: the predecessor may run right up to this
                     // node's latest end; the sender is constrained
                     // through the wire.
-                    if let Some(p) = node.prev {
-                        latest[p] = latest[p].min(latest[i]);
-                    }
-                    if let Some(send) = node.matched_send {
-                        let bound = latest[i] - self.scaled_cost(i, r) + self.scaled_cost(send, r);
-                        latest[send] = latest[send].min(bound);
-                    }
+                    tighten(&mut latest, self.prev[k], here);
+                    let send = self.key[k];
+                    let bound = here - self.scaled_cost(k, r) + self.scaled_cost(send as usize, r);
+                    tighten(&mut latest, send, bound);
                 }
-                TaskKind::Compute | TaskKind::Send { .. } => {
-                    if let Some(p) = node.prev {
-                        latest[p] = latest[p].min(latest[i] - self.scaled_cost(i, r));
-                    }
+                Step::Compute | Step::Send => {
+                    tighten(&mut latest, self.prev[k], here - self.scaled_cost(k, r));
                 }
             }
         }
-        (0..n).map(|i| latest[i] - sched.end[i]).collect()
+        self.nodes
+            .iter()
+            .zip(&sched.end)
+            .map(|(node, &end)| latest[node.pos as usize] - end)
+            .collect()
     }
 
     /// Graph-wide per-phase attribution of every rank's time under
-    /// `sched`, a schedule of this graph. There is a bucket for every
-    /// named phase and every phase a node runs in.
+    /// `sched`, a schedule of this graph, summed in id order. There is a
+    /// bucket for every named phase and every phase a node runs in.
     pub fn attribution(&self, sched: &Schedule) -> Attribution {
         let np = self.phase_names.len();
         let mut att = Attribution {
@@ -975,13 +776,15 @@ impl TaskGraph {
                     bucket.resize(p + 1, 0.0);
                 }
             }
-            match node.kind {
-                TaskKind::Compute => att.compute[p] += self.scaled_cost(i, &sched.rescale),
-                TaskKind::Send { .. } => att.comm[p] += self.scaled_cost(i, &sched.rescale),
-                TaskKind::Recv { .. } => att.wait[p] += sched.end[i] - sched.start[i],
-                TaskKind::Collective { meet } => {
-                    let exit = sched.meet_end[meet];
-                    let cost = self.meets[meet].cost;
+            let k = node.pos as usize;
+            match node.step {
+                Step::Compute => att.compute[p] += self.scaled_cost(k, &sched.rescale),
+                Step::Send => att.comm[p] += self.scaled_cost(k, &sched.rescale),
+                Step::Recv => att.wait[p] += sched.end[i] - sched.start[i],
+                Step::Meet => {
+                    let m = self.key[k] as usize;
+                    let exit = sched.meet_end[m];
+                    let cost = self.meets[m].cost;
                     let entry = sched.start[i];
                     att.wait[p] += (exit - cost - entry).max(0.0);
                     att.comm[p] += cost;
@@ -1157,56 +960,15 @@ impl PathReport {
 mod tests {
     use super::*;
 
-    fn compute(rank: usize, phase: u16, dur: f64, prev: Option<NodeId>) -> TaskNode {
-        TaskNode {
-            rank,
-            phase,
-            kind: TaskKind::Compute,
-            dur,
-            transfer: 0.0,
-            prev,
-            matched_send: None,
-        }
-    }
-
     /// rank 0: compute 3s, send (overhead .5, wire 2).
     /// rank 1: compute 1s, recv.
     fn two_rank_graph() -> TaskGraph {
-        two_rank_parts().into()
-    }
-
-    fn two_rank_parts() -> TaskGraphParts {
-        TaskGraphParts {
-            nodes: vec![
-                compute(0, 1, 3.0, None),
-                TaskNode {
-                    rank: 0,
-                    phase: 1,
-                    kind: TaskKind::Send {
-                        dst: 1,
-                        tag: 7,
-                        bytes: 8,
-                    },
-                    dur: 0.5,
-                    transfer: 0.0,
-                    prev: Some(0),
-                    matched_send: None,
-                },
-                compute(1, 2, 1.0, None),
-                TaskNode {
-                    rank: 1,
-                    phase: 2,
-                    kind: TaskKind::Recv { src: 0, tag: 7 },
-                    dur: 0.0,
-                    transfer: 2.0,
-                    prev: Some(2),
-                    matched_send: Some(1),
-                },
-            ],
-            meets: vec![],
-            n_ranks: 2,
-            phase_names: vec!["(untracked)".into(), "a".into(), "b".into()],
-        }
+        let mut b = TaskGraphBuilder::new(2, vec!["(untracked)".into(), "a".into(), "b".into()]);
+        b.compute(0, 1, 3.0);
+        let msg = b.send(0, 1, 0.5, 7, 2.0);
+        b.compute(1, 2, 1.0);
+        b.recv(1, 2, msg);
+        b.finish().unwrap()
     }
 
     #[test]
@@ -1277,42 +1039,20 @@ mod tests {
     }
 
     /// Two ranks compute 1s and 4s, then an allreduce costing 0.25.
+    /// Ids: rank 0's compute and member are 0 and 1, rank 1's 2 and 3.
     fn two_rank_meet() -> TaskGraph {
-        two_rank_meet_parts().into()
-    }
-
-    fn two_rank_meet_parts() -> TaskGraphParts {
-        let member = |rank: usize| TaskNode {
-            rank,
-            phase: 0,
-            kind: TaskKind::Collective { meet: 0 },
-            dur: 0.0,
-            transfer: 0.0,
-            prev: Some(rank),
-            matched_send: None,
-        };
-        TaskGraphParts {
-            nodes: vec![
-                compute(0, 0, 1.0, None),
-                compute(1, 0, 4.0, None),
-                member(0),
-                member(1),
-            ],
-            meets: vec![Meet {
-                members: vec![2, 3],
-                cost: 0.25,
-                label: "allreduce",
-            }],
-            n_ranks: 2,
-            phase_names: vec!["(untracked)".into()],
-        }
+        let mut b = TaskGraphBuilder::new(2, vec!["(untracked)".into()]);
+        b.compute(0, 0, 1.0);
+        b.compute(1, 0, 4.0);
+        b.meet([(0, 0), (1, 0)], 0.25, "allreduce");
+        b.finish().unwrap()
     }
 
     #[test]
     fn collective_meet_charges_last_arrival_plus_cost() {
         let g = two_rank_meet();
         let s = g.schedule(&Rescale::none()).unwrap();
-        assert_eq!(s.end[2], 4.25);
+        assert_eq!(s.end[1], 4.25);
         assert_eq!(s.end[3], 4.25);
         let path = g.critical_path(&s);
         // compute on rank 1 (0..4), collective (4..4.25).
@@ -1320,7 +1060,7 @@ mod tests {
         assert_eq!(path.segments[0].rank, 1);
         assert_eq!(path.segments[1].label, "allreduce");
         let slack = g.slack(&s);
-        assert_eq!(slack[1], 0.0);
+        assert_eq!(slack[2], 0.0);
         assert_eq!(slack[0], 3.0); // rank 0 may arrive 3s later
                                    // Attribution: rank 0 waited 3s, both paid the 0.25 cost.
         let att = g.attribution(&s);
@@ -1330,257 +1070,39 @@ mod tests {
     }
 
     #[test]
-    fn malformed_graphs_are_typed_errors_not_panics_or_hangs() {
-        let check = |g: &TaskGraph, want: GraphError| {
-            assert_eq!(g.schedule(&Rescale::none()).unwrap_err(), want);
-            assert_eq!(g.what_if_makespan(&Rescale::none()).unwrap_err(), want);
-        };
-        let edit = |f: &dyn Fn(&mut TaskGraphParts)| {
-            let mut g = two_rank_parts();
-            f(&mut g);
-            TaskGraph::from(g)
-        };
-        let edit_meet = |f: &dyn Fn(&mut TaskGraphParts)| {
-            let mut g = two_rank_meet_parts();
-            f(&mut g);
-            TaskGraph::from(g)
-        };
-
-        // Indices out of range.
-        check(
-            &edit(&|g| g.nodes[1].prev = Some(9)),
-            GraphError::OutOfRange {
-                node: 1,
-                field: "prev",
-                index: 9,
-            },
-        );
-        check(
-            &edit(&|g| g.nodes[3].matched_send = Some(9)),
-            GraphError::OutOfRange {
-                node: 3,
-                field: "matched_send",
-                index: 9,
-            },
-        );
-        check(
-            &edit_meet(&|g| {
-                g.nodes[3].kind = TaskKind::Collective { meet: 5 };
-                g.meets[0].members = vec![2];
-            }),
-            GraphError::OutOfRange {
-                node: 3,
-                field: "meet",
-                index: 5,
-            },
-        );
-        // A node that is the prev of two nodes.
-        check(
-            &edit(&|g| g.nodes[2].prev = Some(0)),
-            GraphError::Fork { node: 0 },
-        );
-        // A receive without a send, a matched send on a compute node,
-        // and two receives matched to one send.
-        check(
-            &edit(&|g| g.nodes[3].matched_send = None),
-            GraphError::BadMatch { node: 3 },
-        );
-        check(
-            &edit(&|g| g.nodes[2].matched_send = Some(1)),
-            GraphError::BadMatch { node: 2 },
-        );
-        check(
-            &edit(&|g| {
-                let mut again = g.nodes[3].clone();
-                again.prev = Some(3);
-                g.nodes.push(again);
-            }),
-            GraphError::DoubleMatch { send: 1 },
-        );
-        // Meet members that are not collectives of that meet, a member
-        // listed twice, and a collective its meet leaves out.
-        for (members, node) in [
-            (vec![2, 0], 0),
-            (vec![2, 9], 9),
-            (vec![2, 2], 2),
-            (vec![2], 3),
-        ] {
-            check(
-                &edit_meet(&|g| g.meets[0].members = members.clone()),
-                GraphError::NotAMember { meet: 0, node },
-            );
+    fn lanes_joined_by_a_barrier_per_step_wait_for_the_slower_lane() {
+        // Two lanes with a barrier after every step: the shape of
+        // `critical_study`'s STC overlap graph.
+        let mut b = TaskGraphBuilder::new(2, vec!["(untracked)".into()]);
+        for (a, c) in [(1.0, 2.0), (3.0, 0.5), (0.25, 0.25)] {
+            b.compute(0, 0, a);
+            b.compute(1, 0, c);
+            b.meet([(0, 0), (1, 0)], 0.0, "barrier");
         }
-        // A self-matched receive, and a cycle across two ranks: each
-        // rank receives before it sends to the other.
-        check(
-            &edit(&|g| g.nodes[3].matched_send = Some(3)),
-            GraphError::Cycle { stuck: 1 },
-        );
-        check(
-            &edit(&|g| {
-                g.nodes[0].kind = TaskKind::Recv { src: 1, tag: 7 };
-                g.nodes[0].matched_send = Some(3);
-                g.nodes[2].kind = TaskKind::Recv { src: 0, tag: 7 };
-                g.nodes[2].matched_send = Some(1);
-                g.nodes[3].kind = TaskKind::Send {
-                    dst: 0,
-                    tag: 7,
-                    bytes: 8,
-                };
-                g.nodes[3].matched_send = None;
-            }),
-            GraphError::Cycle { stuck: 4 },
-        );
-    }
-
-    /// `n` ranks run `iters` rounds of compute, send to the next rank,
-    /// receive from the previous one and allreduce, with ids contiguous
-    /// per rank as `cpx_machine::build_task_graph` lays them out. Rank
-    /// 0's receive waits on the last rank's send, so its chain blocks.
-    fn ring_graph(n: usize, iters: usize) -> TaskGraph {
-        let id = |rank: usize, it: usize, k: usize| rank * 4 * iters + 4 * it + k;
-        let mut g = TaskGraphParts {
-            n_ranks: n,
-            phase_names: vec!["(untracked)".into()],
-            ..TaskGraphParts::default()
-        };
-        for rank in 0..n {
-            for it in 0..iters {
-                let node = |k: usize, kind: TaskKind, dur: f64| TaskNode {
-                    rank,
-                    phase: 0,
-                    kind,
-                    dur,
-                    transfer: 0.0,
-                    prev: (4 * it + k > 0).then(|| id(rank, it, k) - 1),
-                    matched_send: None,
-                };
-                let src = (rank + n - 1) % n;
-                g.nodes.push(node(0, TaskKind::Compute, 1.0 + rank as f64));
-                g.nodes.push(node(
-                    1,
-                    TaskKind::Send {
-                        dst: (rank + 1) % n,
-                        tag: 0,
-                        bytes: 8,
-                    },
-                    0.5,
-                ));
-                g.nodes.push(TaskNode {
-                    transfer: 0.25,
-                    matched_send: Some(id(src, it, 1)),
-                    ..node(2, TaskKind::Recv { src, tag: 0 }, 0.0)
-                });
-                g.nodes
-                    .push(node(3, TaskKind::Collective { meet: it }, 0.0));
-            }
-        }
-        g.meets = (0..iters)
-            .map(|it| Meet {
-                members: (0..n).map(|rank| id(rank, it, 3)).collect(),
-                cost: 0.125,
-                label: "allreduce",
-            })
-            .collect();
-        g.into()
-    }
-
-    /// Two lanes whose node ids interleave, with a barrier after every
-    /// step: the shape of `critical_study`'s STC overlap graph.
-    fn interleaved_lanes(steps: &[(f64, f64)]) -> TaskGraph {
-        let mut g = TaskGraphParts {
-            n_ranks: 2,
-            phase_names: vec!["(untracked)".into()],
-            ..TaskGraphParts::default()
-        };
-        let mut prev = [None, None];
-        for &(a, b) in steps {
-            for (lane, dur) in [(0, a), (1, b)] {
-                g.nodes.push(compute(lane, 0, dur, prev[lane]));
-                prev[lane] = Some(g.nodes.len() - 1);
-            }
-            let meet = g.meets.len();
-            let mut members = Vec::new();
-            for (lane, p) in prev.iter_mut().enumerate() {
-                g.nodes.push(TaskNode {
-                    rank: lane,
-                    phase: 0,
-                    kind: TaskKind::Collective { meet },
-                    dur: 0.0,
-                    transfer: 0.0,
-                    prev: *p,
-                    matched_send: None,
-                });
-                *p = Some(g.nodes.len() - 1);
-                members.push(g.nodes.len() - 1);
-            }
-            g.meets.push(Meet {
-                members,
-                cost: 0.0,
-                label: "barrier",
-            });
-        }
-        g.into()
-    }
-
-    /// Check the contract documented on [`TaskGraph::order`].
-    fn assert_order_contract(g: &TaskGraph) {
-        let order: Vec<NodeId> = g.order().unwrap().collect();
-        let n = g.nodes.len();
-        let mut pos = vec![usize::MAX; n];
-        for (k, &i) in order.iter().enumerate() {
-            assert_eq!(pos[i], usize::MAX, "node {i} appears twice");
-            pos[i] = k;
-        }
-        assert_eq!(order.len(), n, "the order is not a permutation");
-        for (i, node) in g.nodes.iter().enumerate() {
-            for dep in [node.prev, node.matched_send].into_iter().flatten() {
-                assert!(pos[dep] < pos[i], "node {i} comes before {dep}");
-            }
-        }
-        for (m, meet) in g.meets.iter().enumerate() {
-            let first = pos[meet.members[0]];
-            for (k, &x) in meet.members.iter().enumerate() {
-                assert_eq!(
-                    pos[x],
-                    first + k,
-                    "meet {m} is split or out of member order"
-                );
-            }
-            let last = first + meet.members.len() - 1;
-            for (i, node) in g.nodes.iter().enumerate() {
-                if node.prev.is_some_and(|p| meet.members.contains(&p)) {
-                    assert!(pos[i] > last, "node {i} precedes meet {m}");
-                }
-            }
-        }
+        let g = b.finish().unwrap();
+        let s = g.schedule(&Rescale::none()).unwrap();
+        assert_eq!(s.makespan, 2.0 + 3.0 + 0.25);
+        // The last step ties: the lower rank is blamed.
+        let path = g.critical_path(&s);
+        let ranks: Vec<usize> = path.segments.iter().map(|x| x.rank).collect();
+        assert_eq!(ranks, [1, 0, 0]);
     }
 
     #[test]
-    fn order_contract_holds_on_a_ring_and_on_interleaved_lanes() {
-        let ring = ring_graph(5, 3);
-        assert_order_contract(&ring);
-        // The walk runs rank 0 until its receive blocks, so the order is
-        // not plain id order.
-        let order: Vec<NodeId> = ring.order().unwrap().collect();
-        assert_ne!(order, (0..ring.nodes.len()).collect::<Vec<_>>());
-
-        let lanes = interleaved_lanes(&[(1.0, 2.0), (3.0, 0.5), (0.25, 0.25)]);
-        assert_order_contract(&lanes);
-        let s = lanes.schedule(&Rescale::none()).unwrap();
-        assert_eq!(s.makespan, 2.0 + 3.0 + 0.25);
+    #[should_panic(expected = "meet members must ascend by rank")]
+    fn meet_members_must_ascend_by_rank() {
+        let mut b = TaskGraphBuilder::new(2, vec![]);
+        b.meet([(1, 0), (0, 0)], 0.0, "barrier");
     }
 
     #[test]
     fn attribution_keeps_unnamed_phases_apart() {
         // Compute in phase 3 with only phases 0 and 1 named: it gets its
         // own bucket instead of landing in phase 1's.
-        let g = TaskGraph::from(TaskGraphParts {
-            nodes: vec![compute(0, 1, 1.0, None), compute(0, 3, 2.0, Some(0))],
-            n_ranks: 1,
-            phase_names: vec!["(untracked)".into(), "a".into()],
-            ..TaskGraphParts::default()
-        });
+        let mut b = TaskGraphBuilder::new(1, vec!["(untracked)".into(), "a".into()]);
+        b.compute(0, 1, 1.0);
+        b.compute(0, 3, 2.0);
+        let g = b.finish().unwrap();
         let att = g.attribution(&g.schedule(&Rescale::none()).unwrap());
         assert_eq!(att.compute, [0.0, 1.0, 0.0, 2.0]);
         assert_eq!(att.comm, [0.0; 4]);
@@ -1655,6 +1177,45 @@ mod tests {
         let att = g.attribution(&s);
         assert_eq!(att.compute, [0.0, 3.0, 6.0]);
         assert_eq!(att.wait, [0.0, 0.0, 0.0]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_graph_the_builder_makes_schedules(
+            calls in proptest::collection::vec((0u8..4, 0usize..16, 0.0f64..2.0), 0..40),
+            factor in 0.25f64..4.0,
+        ) {
+            // Random builder calls on 4 ranks: compute, a send, the
+            // receive of the oldest message in flight, or a meet of the
+            // ranks in a bit mask.
+            let mut b = TaskGraphBuilder::new(4, vec!["(untracked)".into(), "a".into()]);
+            let mut in_flight = std::collections::VecDeque::new();
+            for (what, a, x) in calls {
+                match what {
+                    0 => b.compute(a % 4, 1, x),
+                    1 => in_flight.push_back(b.send(a % 4, 0, 0.5, 0, x)),
+                    2 => {
+                        if let Some(msg) = in_flight.pop_front() {
+                            b.recv(a % 4, 0, msg);
+                        }
+                    }
+                    _ => b.meet((0..4).filter(|r| a >> r & 1 == 1).map(|r| (r, 0)), x, "barrier"),
+                }
+            }
+            let g = b.finish().unwrap();
+            let r = Rescale {
+                compute_by_phase: vec![1.0, factor],
+                transfer_by_tag: vec![(0, 0, factor)],
+            };
+            let s = g.schedule(&r).unwrap();
+            proptest::prop_assert_eq!(
+                g.what_if_makespan(&r).unwrap().to_bits(),
+                s.makespan.to_bits()
+            );
+            proptest::prop_assert!(s.start.iter().zip(&s.end).all(|(a, b)| a <= b));
+            let path = g.critical_path(&s);
+            proptest::prop_assert!((path.coverage() - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

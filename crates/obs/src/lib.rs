@@ -71,8 +71,8 @@ pub use chrome::{
     dual_chrome_trace_json, dual_chrome_trace_to,
 };
 pub use critical::{
-    blend_factor, path_report, BlamedSpan, CriticalPath, GraphError, Meet, PathReport, PathSegment,
-    Rescale, Schedule, SegClass, TaskGraph, TaskGraphParts, TaskKind, TaskNode,
+    blend_factor, path_report, BlamedSpan, CriticalPath, GraphError, Node, PathReport, PathSegment,
+    Plan, Rescale, Schedule, SegClass, Sent, Step, TaskGraph, TaskGraphBuilder,
 };
 pub use flame::{collapsed_stacks, collapsed_stacks_to};
 pub use http::{MetricsServer, Response};

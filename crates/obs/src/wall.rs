@@ -1,7 +1,7 @@
 //! Wall-clock span/counter recorder.
 //!
 //! [`WallRecorder`] is the real-clock sibling of
-//! [`RankRecorder`](crate::RankRecorder): the same begin/end/count API
+//! [`RankRecorder`]: the same begin/end/count API
 //! and the same on/off no-op contract, but timestamps come from a
 //! monotonic [`Instant`] sampled at each call instead of being passed
 //! in from a virtual clock. It seals into the same [`RankTimeline`] /

@@ -13,8 +13,8 @@
 use cpx_obs::json::escape_str;
 use cpx_obs::{
     chrome_trace_json, cluster_chrome_trace_json, cluster_virtual_trace_json,
-    critical_chrome_trace_json, Json, Meet, NodeObs, RankRecorder, RecoveryKind, Rescale,
-    TaskGraph, TaskGraphParts, TaskKind, TaskNode, TraceSession,
+    critical_chrome_trace_json, Json, NodeObs, RankRecorder, RecoveryKind, Rescale,
+    TaskGraphBuilder, TraceSession,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -110,46 +110,12 @@ proptest! {
         // Two ranks, one compute each, joined by a collective: the
         // critical lane and the rank lanes both label events with the
         // adversarial phase name.
-        let mut g = TaskGraphParts {
-            n_ranks: 2,
-            phase_names: vec!["(untracked)".to_string(), phase],
-            ..TaskGraphParts::default()
-        };
+        let mut b = TaskGraphBuilder::new(2, vec!["(untracked)".to_string(), phase]);
         for rank in 0..2usize {
-            g.nodes.push(TaskNode {
-                rank,
-                phase: 1,
-                kind: TaskKind::Compute,
-                dur: dur + rank as f64 * 0.25,
-                transfer: 0.0,
-                prev: None,
-                matched_send: None,
-            });
+            b.compute(rank, 1, dur + rank as f64 * 0.25);
         }
-        g.nodes.push(TaskNode {
-            rank: 0,
-            phase: 1,
-            kind: TaskKind::Collective { meet: 0 },
-            dur: 0.0,
-            transfer: 0.0,
-            prev: Some(0),
-            matched_send: None,
-        });
-        g.nodes.push(TaskNode {
-            rank: 1,
-            phase: 1,
-            kind: TaskKind::Collective { meet: 0 },
-            dur: 0.0,
-            transfer: 0.0,
-            prev: Some(1),
-            matched_send: None,
-        });
-        g.meets.push(Meet {
-            members: vec![2, 3],
-            cost: 0.125,
-            label: "allreduce",
-        });
-        let g = TaskGraph::from(g);
+        b.meet([(0, 1), (1, 1)], 0.125, "allreduce");
+        let g = b.finish().expect("tiny graph builds");
         let sched = g.schedule(&Rescale::none()).expect("tiny graph is acyclic");
         let path = g.critical_path(&sched);
         let doc = parses(&critical_chrome_trace_json(&g, &path));

@@ -1,6 +1,6 @@
 //! Per-worker wall-clock telemetry for the pool combinators.
 //!
-//! [`with_telemetry`] wraps any code that drives a [`ParPool`] — a
+//! [`with_telemetry`] wraps any code that drives a [`ParPool`](crate::ParPool) — a
 //! single kernel call or a whole solver step — and collects one
 //! [`ChunkTiming`] per chunk the combinators execute inside it: which
 //! worker ran the chunk, how many items it covered and its start/end

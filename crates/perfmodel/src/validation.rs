@@ -3,7 +3,7 @@
 //! The model chapter of the paper closes its loop by checking the
 //! Algorithm-1 predictions against measured coupled runs (Fig 9a). This
 //! module is that check for the whole workspace: it pairs
-//! [`RuntimeCurve`] / [`MeasuredScaling`] predictions with measured
+//! [`RuntimeCurve`](crate::RuntimeCurve) / [`MeasuredScaling`] predictions with measured
 //! kernel and coupled timings and reduces them to two honest numbers
 //! per kernel —
 //!

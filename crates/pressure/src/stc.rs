@@ -4,7 +4,7 @@
 //! virtual-time runtime with modelled per-step costs. This module is
 //! the execution-level counterpart: the actual Lagrangian spray update
 //! and the actual AMG-PCG pressure solve of
-//! [`MiniPressureSolver`](crate::solver::MiniPressureSolver) run as two
+//! [`MiniPressureSolver`] run as two
 //! tasks of one `cpx-par` pool dispatch, meeting at a per-step fence
 //! (the pool join — the shared-window `MPI_Win_fence` of the paper's
 //! organisation).

@@ -267,7 +267,7 @@ pub fn spgemm_spa_with(pool: &ParPool, a: &Csr, b: &Csr, chunks: usize) -> SpGem
     }
 }
 
-/// Reusable SPA scratch arena: one [`Spa`]-shaped slot per chunk plus
+/// Reusable SPA scratch arena: one `Spa`-shaped slot per chunk plus
 /// per-chunk output buffers, all retained across calls so steady-state
 /// SpGEMMs (the AMG hierarchy rebuild path) allocate nothing once the
 /// high-water capacities are reached.

@@ -1,5 +1,5 @@
 //! Minimal self-contained binary encoder/decoder shared by the `.cpxr`
-//! trace format ([`cpx-replay`]) and the TCP transport of `cpx-comm`.
+//! trace format (`cpx-replay`) and the TCP transport of `cpx-comm`.
 //!
 //! Deps are vendored stand-ins with no real serialization, so the
 //! workspace carries its own wire layer: little-endian fixed-width ints,
