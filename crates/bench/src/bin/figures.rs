@@ -112,7 +112,7 @@ fn ablation(machine: &Machine) {
         }
         let models = model::build_models_with_grid(&scenario, machine, 100.0, &small_grid());
         let alloc = model::allocate_scenario(&models, 5000);
-        let run = sim::run_coupled(&scenario, &alloc, machine, 20);
+        let run = sim::run_coupled_with(&scenario, &alloc, machine, 20, None);
         let cu_ranks: usize = alloc.cu_ranks.iter().sum();
         let cu_time = alloc.cu_times.iter().copied().fold(0.0, f64::max);
         println!(

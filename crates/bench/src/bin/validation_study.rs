@@ -159,7 +159,7 @@ fn main() {
         &[100, 400, 1600],
     );
     let alloc = model::allocate_scenario(&models, 1200);
-    let run = sim::run_coupled(&scenario, &alloc, &machine, 20);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
     let mut coupled = Vec::new();
     for (i, app) in scenario.apps.iter().enumerate() {
         coupled.push(PredictionPair::new(

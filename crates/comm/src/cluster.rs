@@ -4,7 +4,7 @@
 //! A distributed run works like `mpirun` without the launcher daemon:
 //! every process is started with the *same* configuration (same world
 //! size, same node→rank map, same ports, same seed) plus a
-//! `--current-node` selector; each process calls [`run_node`] with its
+//! `--current-node` selector; each process calls [`run_node_obs`] with its
 //! own node id, the processes mesh up over TCP ([`crate::net`]), and
 //! each returns the results of the ranks it hosts. A launcher (see
 //! `cpx-replay`'s `multiproc_smoke` bin or the chaos harness) spawns
@@ -14,7 +14,7 @@
 //! fault decision is a pure function of the plan, a crash-free run
 //! produces **bit-identical reports and event logs** whether the world
 //! runs in one process ([`crate::World::run_with_plan_logged`]) or
-//! across many ([`run_node`] on each) — the golden
+//! across many ([`run_node_obs`] on each) — the golden
 //! `multiproc_smoke` corpus in the repository enforces exactly this.
 
 use std::io;
@@ -106,10 +106,10 @@ pub struct NodeRun<T> {
 
 /// What [`run_node_obs`] should observe on top of running the ranks.
 ///
-/// The default is everything off, which makes `run_node_obs` behave
-/// exactly like [`run_node`] (and costs exactly as much: disabled
-/// recorders are branch-on-bool no-ops and a disabled [`NetStats`] is a
-/// branch on an `Option` discriminant).
+/// The default is everything off, which makes `run_node_obs` just run
+/// the ranks (and costs no more: disabled recorders are branch-on-bool
+/// no-ops and a disabled [`NetStats`] is a branch on an `Option`
+/// discriminant).
 #[derive(Debug, Clone, Default)]
 pub struct NodeObsOptions {
     /// Record a virtual-clock span/counter timeline per hosted rank.
@@ -139,36 +139,12 @@ impl NodeObsOptions {
 /// Run this process's share of a distributed world: mesh up with the
 /// other nodes of `cfg`, execute `f` on every locally hosted rank, and
 /// tear the mesh down cleanly (goodbye, so peers don't mistake our exit
-/// for a crash).
+/// for a crash). Returns the hosted ranks' results plus the node's
+/// observability bundle.
 ///
 /// `f` sees exactly the same [`RankCtx`] API as under
 /// [`crate::World::run_with_plan`]; world size, fault decisions and all
 /// virtual-time accounting are identical across backends.
-pub fn run_node<T, F>(
-    machine: Machine,
-    cfg: &ClusterConfig,
-    node: usize,
-    plan: FaultPlan,
-    logged: bool,
-    f: F,
-) -> io::Result<NodeRun<T>>
-where
-    T: Send + 'static,
-    F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-{
-    run_node_obs(
-        machine,
-        cfg,
-        node,
-        plan,
-        logged,
-        NodeObsOptions::default(),
-        f,
-    )
-    .map(|(run, _obs)| run)
-}
-
-/// [`run_node`] plus the node's observability bundle.
 ///
 /// Depending on `opts` this records per-rank virtual timelines (with
 /// recovery events), a node-level wall-clock lane, per-peer transport

@@ -215,8 +215,8 @@ pub struct FaultPlan {
     /// Seeded in-memory bit-flip injector for SDC experiments, if the
     /// plan models memory corruption as well as link corruption. The
     /// runtime never touches application state; mini-apps and studies
-    /// consult this via [`crate::RankCtx::fault_plan`] and strike their
-    /// own arrays with it.
+    /// take it from the plan they built and strike their own arrays with
+    /// it.
     pub mem_corrupt: Option<BitFlipInjector>,
     /// Transient degradation windows (apply to all links).
     pub degradations: Vec<LinkDegradation>,

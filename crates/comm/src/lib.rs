@@ -82,12 +82,11 @@ pub mod payload;
 pub mod protocol;
 pub mod resilient;
 pub mod runtime;
-pub mod serialize;
 pub mod transport;
 pub mod window;
 
 pub use backoff::BackoffPolicy;
-pub use cluster::{free_ports, run_node, run_node_obs, ClusterConfig, NodeObsOptions, NodeRun};
+pub use cluster::{free_ports, run_node_obs, ClusterConfig, NodeObsOptions, NodeRun};
 pub use fault::{BitFlipInjector, CommError, FaultPlan, LinkDegradation};
 pub use group::Group;
 pub use net::TcpTransport;

@@ -12,8 +12,8 @@
 //! Under a fault plan the same contract holds as for blocking calls:
 //! `isend` retries fault-injected drops internally, and a wait on a
 //! request whose sender crashed observes the failure. The fallible
-//! variants ([`RecvRequest::try_wait`], [`RecvRequest::wait_timeout`])
-//! surface the [`CommError`] instead of panicking.
+//! variant [`RecvRequest::try_wait`] surfaces the [`CommError`] instead
+//! of panicking.
 
 use crate::fault::CommError;
 use crate::payload::Payload;
@@ -55,17 +55,6 @@ impl RecvRequest {
         match self.done.take() {
             Some(p) => Ok(p),
             None => ctx.try_recv_from(self.src, self.tag),
-        }
-    }
-
-    /// Wait with a virtual-time deadline (see [`RankCtx::recv_timeout`]
-    /// for the exact semantics). On `Err(CommError::Timeout)` the
-    /// request is consumed but the message, if one eventually arrives,
-    /// stays pending and can be matched by a fresh receive.
-    pub fn wait_timeout(mut self, ctx: &mut RankCtx, timeout: f64) -> Result<Payload, CommError> {
-        match self.done.take() {
-            Some(p) => Ok(p),
-            None => ctx.recv_timeout(self.src, self.tag, timeout),
         }
     }
 

@@ -75,9 +75,6 @@ pub(crate) struct Registry {
 }
 
 /// Virtual-time accounting for one rank, returned by [`World::run`].
-/// Serializable: derives the serde markers and implements the
-/// workspace's real JSON path ([`cpx_obs::ToJson`] in
-/// [`crate::serialize`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TimeReport {
     /// Final virtual clock (the rank's elapsed virtual time).
@@ -315,12 +312,6 @@ impl RankCtx {
     #[inline]
     pub fn compute_time(&self) -> f64 {
         self.compute_time
-    }
-
-    /// The active fault plan (trivial when running without faults).
-    #[inline]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Open an observability span at the current virtual time. No-op
@@ -1000,16 +991,6 @@ impl World {
             .collect()
     }
 
-    /// Run `f` on `n` ranks without faults, returning per-rank
-    /// [`RankOutcome`]s instead of re-raising panics.
-    pub fn run_outcomes<T, F>(&self, n: usize, f: F) -> Vec<RankRun<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        self.run_with_plan(n, FaultPlan::default(), f)
-    }
-
     /// Run `f` on `n` ranks under a [`FaultPlan`]. Every rank gets an
     /// outcome: completed ranks their value, crashed ranks their crash
     /// time, aborted ranks the `CommError` that killed them, and
@@ -1374,8 +1355,8 @@ mod tests {
     }
 
     #[test]
-    fn run_outcomes_captures_panics() {
-        let runs = world().run_outcomes(2, |ctx| {
+    fn run_with_plan_captures_panics() {
+        let runs = world().run_with_plan(2, FaultPlan::default(), |ctx| {
             if ctx.rank() == 1 {
                 panic!("boom");
             }
@@ -1588,7 +1569,9 @@ mod tests {
 
     #[test]
     fn try_send_reports_out_of_range() {
-        let runs = world().run_outcomes(1, |ctx| ctx.try_send(5, 0, vec![1.0f64]));
+        let runs = world().run_with_plan(1, FaultPlan::default(), |ctx| {
+            ctx.try_send(5, 0, vec![1.0f64])
+        });
         match &runs[0].outcome {
             RankOutcome::Completed(Err(CommError::RankOutOfRange { rank: 5, size: 1 })) => {}
             o => panic!("expected RankOutOfRange, got {o:?}"),

@@ -13,7 +13,8 @@
 //!   allocate a core budget ([`model`]);
 //! * execute the **virtual coupled run** at the allocated rank counts on
 //!   the ARCHER2-class testbed and measure per-instance runtimes and
-//!   coupling overhead ([`sim`]);
+//!   coupling overhead ([`sim::run_coupled_with`]; a scenario carrying a
+//!   [`FaultScenario`] also prices its crash and corruption recovery);
 //! * run a **functional coupled simulation** (real numerics, threaded
 //!   ranks, real interface transfers) at laptop scale ([`functional`]);
 //! * regenerate every figure of the paper (the `cpx-bench` crate drives
@@ -26,7 +27,7 @@
 //! let machine = Machine::archer2();
 //! let models = model::build_models(&scenario, &machine, 20.0);
 //! let alloc = model::allocate_scenario(&models, 40_000);
-//! let run = sim::run_coupled(&scenario, &alloc, &machine, 20);
+//! let run = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
 //! println!("predicted {:.1}s measured {:.1}s",
 //!          alloc.predicted_runtime(), run.total_runtime);
 //! ```
@@ -58,6 +59,6 @@ pub use model::ScenarioModels;
 pub use profile::{PhaseProfile, PhaseRow};
 pub use sdc::{SdcInjection, SdcPolicy, SdcSite};
 pub use sim::{
-    coupled_phase_names, coupled_program, coupled_program_phased, run_coupled_resilient_logged,
-    trace_coupled, CoupledRun, ResilienceEvent,
+    coupled_phase_names, coupled_program, coupled_program_phased, trace_coupled, CoupledRun,
+    ResilienceEvent,
 };

@@ -319,7 +319,7 @@ mod tests {
     use super::*;
     use crate::instance::StcVariant;
     use crate::model::{allocate_scenario, build_models_with_grid};
-    use crate::sim::run_coupled;
+    use crate::sim::run_coupled_with;
     use crate::testcases;
     use cpx_machine::Machine;
 
@@ -329,7 +329,7 @@ mod tests {
         let machine = Machine::archer2();
         let models = build_models_with_grid(&scenario, &machine, 20.0, &[100, 400, 1600]);
         let alloc = allocate_scenario(&models, 1200);
-        let run = run_coupled(&scenario, &alloc, &machine, 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine, 20, None);
         let md = markdown_report(&scenario, &alloc, &run);
         for app in &scenario.apps {
             assert!(md.contains(&app.name), "missing {}", app.name);
@@ -348,17 +348,16 @@ mod tests {
     #[test]
     fn report_includes_resilience_section_for_faulty_run() {
         use crate::instance::FaultScenario;
-        use crate::sim::run_coupled_resilient;
 
         let scenario = testcases::small_150m_28m(StcVariant::Base);
         let machine = Machine::archer2();
         let models = build_models_with_grid(&scenario, &machine, 20.0, &[100, 400, 1600]);
         let alloc = allocate_scenario(&models, 1200);
-        let clean = run_coupled(&scenario, &alloc, &machine, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &machine, 20, None);
         let scenario = scenario.with_fault(
             FaultScenario::crash(0, clean.total_runtime * 0.5).with_checkpoint_interval(10),
         );
-        let run = run_coupled_resilient(&scenario, &alloc, &machine, 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine, 20, None);
         let md = markdown_report(&scenario, &alloc, &run);
         assert!(md.contains("## Resilience"));
         assert!(md.contains("faults survived: **1**"));
@@ -373,7 +372,6 @@ mod tests {
     #[test]
     fn report_includes_sdc_section_for_corruption_study() {
         use crate::sdc::{SdcInjection, SdcPolicy, SdcSite};
-        use crate::sim::run_coupled_resilient;
 
         let scenario = testcases::small_150m_28m(StcVariant::Base);
         let machine = Machine::archer2();
@@ -386,7 +384,7 @@ mod tests {
             ])
             .with_sdc_policy(SdcPolicy::Recompute),
         );
-        let run = run_coupled_resilient(&scenario, &alloc, &machine, 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine, 20, None);
         let md = markdown_report(&scenario, &alloc, &run);
         assert!(md.contains("## Silent data corruption"));
         assert!(md.contains("corruptions detected: **2**"));
@@ -441,7 +439,7 @@ mod tests {
         let machine = Machine::archer2();
         let models = build_models_with_grid(&scenario, &machine, 20.0, &[100, 400, 1600]);
         let alloc = allocate_scenario(&models, 1200);
-        let run = run_coupled(&scenario, &alloc, &machine, 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine, 20, None);
         let breakdown = PhaseBreakdown {
             compute: vec![vec![3.0], vec![1.0]],
             comm: vec![vec![0.0], vec![1.0]],

@@ -8,9 +8,10 @@
 //! is the bridge from *detection* to *recovery at scale*: it names the
 //! detection sites ([`SdcSite`]), the injected events a coupled study
 //! replays ([`SdcInjection`]) and the recovery policy the virtual run
-//! prices against them ([`SdcPolicy`]) — so `run_coupled_resilient`
-//! can quantify the overhead-versus-coverage trade the same way it
-//! prices crash recovery.
+//! prices against them ([`SdcPolicy`]) — so a coupled run whose
+//! scenario carries these events ([`crate::sim::run_coupled_with`])
+//! quantifies the overhead-versus-coverage trade the same way it prices
+//! crash recovery.
 
 /// Where in the stack a corruption strikes (and which detector is
 /// responsible for catching it).

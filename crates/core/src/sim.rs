@@ -23,7 +23,7 @@ use cpx_coupler::layout::MpmdLayout;
 use cpx_coupler::trace::{CouplerKind, CouplerTraceModel, ExchangePhases};
 use cpx_machine::{CollectiveKind, Machine, Op, PhaseId, ReplayOutcome, Replayer, TraceProgram};
 use cpx_mgcfd::MgCfdTraceModel;
-use cpx_obs::json::{field, FromJson, Json, JsonError, ToJson};
+use cpx_obs::json::{Json, ToJson};
 use cpx_obs::TraceSession;
 use cpx_perfmodel::Allocation;
 use cpx_simpic::SimpicTraceModel;
@@ -68,6 +68,9 @@ pub struct CoupledRun {
     /// iteration (seconds over the full window) — the standing price of
     /// coverage, separate from `recovery_overhead`.
     pub abft_overhead: f64,
+    /// Every resilience decision the run took, in emission order; empty
+    /// without a fault. Not part of the JSON form.
+    pub resilience: Vec<ResilienceEvent>,
 }
 
 impl ToJson for CoupledRun {
@@ -89,25 +92,6 @@ impl ToJson for CoupledRun {
             ("sdc_recovered", Json::Num(f64::from(self.sdc_recovered))),
             ("abft_overhead", Json::Num(self.abft_overhead)),
         ])
-    }
-}
-
-impl FromJson for CoupledRun {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CoupledRun {
-            app_runtimes: field(v, "app_runtimes")?,
-            total_runtime: field(v, "total_runtime")?,
-            coupling_overhead: field(v, "coupling_overhead")?,
-            sample_iters: field(v, "sample_iters")?,
-            world_size: field(v, "world_size")?,
-            faults_survived: field::<u64>(v, "faults_survived")? as u32,
-            recovery_overhead: field(v, "recovery_overhead")?,
-            checkpoint_cost: field(v, "checkpoint_cost")?,
-            stale_exchanges: field(v, "stale_exchanges")?,
-            sdc_detected: field::<u64>(v, "sdc_detected")? as u32,
-            sdc_recovered: field::<u64>(v, "sdc_recovered")? as u32,
-            abft_overhead: field(v, "abft_overhead")?,
-        })
     }
 }
 
@@ -192,20 +176,9 @@ fn build_program(
             match &app.kind {
                 AppKind::MgCfd(cfg) => {
                     let model = MgCfdTraceModel::new(cfg.clone());
+                    let phase = phased.then_some((1 + ai) as PhaseId);
                     let bodies = (0..p)
-                        .map(|i| {
-                            if phased {
-                                model.step_body_phased(
-                                    i,
-                                    p,
-                                    &ranks,
-                                    app_groups[ai],
-                                    (1 + ai) as PhaseId,
-                                )
-                            } else {
-                                model.step_body(i, p, &ranks, app_groups[ai])
-                            }
-                        })
+                        .map(|i| model.step_body(i, p, &ranks, app_groups[ai], phase))
                         .collect();
                     Block::Structural(bodies)
                 }
@@ -230,7 +203,7 @@ fn build_program(
     let mut deferred: Vec<(usize, Vec<Op>)> = Vec::new();
     for iter in 0..sample_iters {
         // Solver instances advance one density iteration.
-        for (ai, app) in scenario.apps.iter().enumerate() {
+        for ai in 0..scenario.apps.len() {
             let ranks = layout.apps[ai].ranks();
             match &blocks[ai] {
                 Block::Structural(bodies) => {
@@ -250,7 +223,6 @@ fn build_program(
                     }
                 }
             }
-            let _ = app;
         }
         // Coupler exchanges.
         if include_cus {
@@ -268,36 +240,26 @@ fn build_program(
                 // deferred rather than synchronously awaited.
                 let defer = matches!(cu.kind, CouplerKind::Steady { .. });
                 let defer_buf = if defer { Some(&mut deferred) } else { None };
-                if phased {
+                let phases = phased.then(|| {
                     let base = (1 + scenario.apps.len() + 4 * ci) as PhaseId;
-                    model.emit_exchange_phased(
-                        &mut program,
-                        &cu_ranks,
-                        &a_surface,
-                        &b_surface,
-                        machine,
-                        first,
-                        (1000 + ci * 4) as u32,
-                        defer_buf,
-                        ExchangePhases {
-                            gather: base,
-                            search: base + 1,
-                            interpolate: base + 2,
-                            scatter: base + 3,
-                        },
-                    );
-                } else {
-                    model.emit_exchange_deferred(
-                        &mut program,
-                        &cu_ranks,
-                        &a_surface,
-                        &b_surface,
-                        machine,
-                        first,
-                        (1000 + ci * 4) as u32,
-                        defer_buf,
-                    );
-                }
+                    ExchangePhases {
+                        gather: base,
+                        search: base + 1,
+                        interpolate: base + 2,
+                        scatter: base + 3,
+                    }
+                });
+                model.emit_exchange(
+                    &mut program,
+                    &cu_ranks,
+                    &a_surface,
+                    &b_surface,
+                    machine,
+                    first,
+                    (1000 + ci * 4) as u32,
+                    defer_buf,
+                    phases,
+                );
             }
         }
     }
@@ -314,19 +276,31 @@ fn build_program(
 ///
 /// `sample_iters` density iterations are replayed (a multiple of the
 /// 20-iteration steady-exchange period keeps the amortisation exact)
-/// and scaled to `scenario.density_iters`.
-pub fn run_coupled(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> CoupledRun {
-    run_coupled_with(scenario, alloc, machine, sample_iters, None)
-}
-
-/// As [`run_coupled`], with an optional `(amplitude, seed)` system-noise
-/// model applied to the measurement (the paper's real-machine runs are
-/// noisy; the model's base benchmarks are taken as the clean reference).
+/// and scaled to `scenario.density_iters`. `noise` is an optional
+/// `(amplitude, seed)` system-noise model applied to every replay of
+/// the run (the paper's real-machine runs are noisy; the model's base
+/// benchmarks are taken as the clean reference).
+///
+/// A scenario carrying a [`FaultScenario`](crate::instance::FaultScenario)
+/// then prices checkpoint/rollback/shrink recovery on top of that clean
+/// run. The clean run fixes the per-iteration pace. Coordinated
+/// checkpoints every `K` density iterations charge their replayed cost
+/// throughout. When the crash lands inside the window, the run rolls
+/// back to the last checkpoint (losing `crash_iter mod K` iterations),
+/// pays a restart (checkpoint read-back plus a log-depth coordination
+/// sweep), and finishes every remaining iteration at the pace of the
+/// *shrunk* allocation — the crashed instance's group redistributes the
+/// dead rank's cells over one fewer rank, ULFM-style, rather than
+/// aborting the whole coupled job. Dropped CU exchanges never stall the
+/// target: it re-applies its last-good mapping (the prefetch-search
+/// cache) and the staleness is counted. Injected silent corruptions are
+/// detected and recovered under the scenario's
+/// [`SdcPolicy`](crate::sdc::SdcPolicy).
+///
+/// Every decision the fault forces — checkpoints written, the crash /
+/// rollback / shrink sequence, stale CU exchanges, and SDC detection /
+/// recovery — lands in [`CoupledRun::resilience`] in emission order.
+/// Same inputs ⇒ identical log and identical [`CoupledRun`].
 pub fn run_coupled_with(
     scenario: &Scenario,
     alloc: &Allocation,
@@ -356,7 +330,7 @@ pub fn run_coupled_with(
     let bare_total = bare_out.makespan() * scale;
     let coupling_overhead = ((total_runtime - bare_total) / total_runtime).max(0.0);
 
-    CoupledRun {
+    let clean = CoupledRun {
         app_runtimes,
         total_runtime,
         coupling_overhead,
@@ -369,212 +343,16 @@ pub fn run_coupled_with(
         sdc_detected: 0,
         sdc_recovered: 0,
         abft_overhead: 0.0,
-    }
-}
-
-/// Replay the coupled program with full observability: every op is
-/// labelled with the phase ids of [`coupled_phase_names`], the replay
-/// tracks the per-phase compute/comm breakdown, and each rank's
-/// phase-segment timeline is recorded as a [`TraceSession`] for the
-/// Chrome-trace / flamegraph exporters. Phase markers are free in the
-/// replayer, so timings are identical to [`run_coupled`]'s program.
-///
-/// Returns `(phase_names, outcome, session)`; `outcome.phases` is
-/// always populated.
-pub fn trace_coupled(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> (Vec<String>, ReplayOutcome, TraceSession) {
-    assert!(sample_iters >= 1);
-    let names = coupled_phase_names(scenario);
-    let (program, _) = build_program(scenario, alloc, machine, sample_iters, true, true);
-    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let (out, session) = Replayer::new(machine.clone())
-        .track_phases(names.len())
-        .run_traced(&program, &name_refs)
-        .expect("phased coupled program replays");
-    (names, out, session)
-}
-
-/// One recorded resilience decision of a resilient coupled run (see
-/// [`run_coupled_resilient_logged`]): which checkpoint/rollback/shrink
-/// and SDC detect/recover actions the scenario's fault plan forced, in
-/// deterministic emission order. The whole resilient timeline is a pure
-/// function of `(scenario, allocation, machine)`, so two runs of the
-/// same inputs produce identical logs — which is what makes the log a
-/// recordable/replayable artifact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResilienceEvent {
-    /// A CU exchange payload was lost; the target re-applied its
-    /// last-good (stale) mapping.
-    StaleExchange {
-        /// Density iteration of the wasted exchange.
-        iter: u64,
-        /// Coupler-unit index in scenario order.
-        cu: usize,
-    },
-    /// A coordinated checkpoint was written.
-    Checkpoint {
-        /// Density iteration the checkpoint covers through.
-        iter: u64,
-    },
-    /// The fault plan crashed a rank of an app instance.
-    Crash {
-        /// App-instance index in scenario order.
-        app: usize,
-        /// Density iteration the crash landed in.
-        iter: u64,
-        /// Virtual time of the crash.
-        vtime: f64,
-    },
-    /// The run rolled back to the last checkpoint.
-    Rollback {
-        /// Density iteration of the restored checkpoint.
-        to_iter: u64,
-    },
-    /// The crashed instance's group redistributed the dead rank's cells
-    /// over one fewer rank (ULFM-style shrink recovery).
-    Shrink {
-        /// App-instance index in scenario order.
-        app: usize,
-        /// Rank count of the instance after the shrink.
-        ranks_after: usize,
-    },
-    /// The armed detector layer caught an injected silent corruption.
-    SdcDetected {
-        /// Density iteration of the strike.
-        iter: u64,
-        /// Where the corruption was injected.
-        site: crate::sdc::SdcSite,
-    },
-    /// A detected corruption was recovered under the scenario policy.
-    SdcRecovered {
-        /// Density iteration of the strike.
-        iter: u64,
-        /// Virtual seconds the recovery cost.
-        cost: f64,
-    },
-}
-
-/// The coupled program of [`run_coupled`] (all instances and CUs at
-/// their allocated rank counts, `sample_iters` density iterations),
-/// plus the MPMD layout. Exposed so external record/replay tooling can
-/// re-drive the exact program through the DES replayer.
-pub fn coupled_program(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> (TraceProgram, MpmdLayout) {
-    assert!(sample_iters >= 1);
-    build_program(scenario, alloc, machine, sample_iters, true, false)
-}
-
-/// As [`coupled_program`] but with every op labelled with the phase ids
-/// of [`coupled_phase_names`]. The op stream is otherwise identical —
-/// phase markers are free — so replays of the phased and unphased
-/// programs produce the same virtual times. This is the input the
-/// critical-path analytics build their task graph from: phase labels
-/// are what the path attribution and the what-if rescaling key on.
-pub fn coupled_program_phased(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> (TraceProgram, MpmdLayout) {
-    assert!(sample_iters >= 1);
-    build_program(scenario, alloc, machine, sample_iters, true, true)
-}
-
-/// Cost of `passes` bandwidth-bound passes over every solver rank's
-/// state (the five conservative variables per local cell), closed by an
-/// 8-byte world allreduce. Replayed as its own trace so the price
-/// reflects the machine model, not a hand constant.
-///
-/// A coordinated checkpoint is two passes (the drain costs twice the
-/// memory traffic) and its allreduce is the consistency marker. The
-/// armed detector layer's per-iteration ABFT column-sum scrub /
-/// invariant scan is one pass, with the allreduce agreeing on the
-/// verdict: that is the `abft_overhead` the report quantifies against
-/// coverage, and one extra state pass against the many a flux
-/// evaluation already makes is what keeps it under the paper-grade 10%
-/// bound.
-fn state_pass_secs(scenario: &Scenario, alloc: &Allocation, machine: &Machine, passes: f64) -> f64 {
-    let world: usize = alloc.app_ranks.iter().sum::<usize>() + alloc.cu_ranks.iter().sum::<usize>();
-    let mut program = TraceProgram::new(world);
-    let everyone = program.add_group((0..world).collect());
-    let mut rank = 0usize;
-    for (app, &p) in scenario.apps.iter().zip(&alloc.app_ranks) {
-        let state_share = app.cells / p as f64 * 5.0 * 8.0;
-        for _ in 0..p {
-            program
-                .rank(rank)
-                .compute(cpx_machine::KernelCost::bytes(state_share * passes));
-            program
-                .rank(rank)
-                .collective(CollectiveKind::Allreduce, everyone, 8);
-            rank += 1;
-        }
-    }
-    for r in rank..world {
-        program
-            .rank(r)
-            .collective(CollectiveKind::Allreduce, everyone, 8);
-    }
-    Replayer::new(machine.clone())
-        .run(&program)
-        .expect("state-pass trace replays")
-        .makespan()
-}
-
-/// Execute the coupled run under the scenario's injected
-/// [`FaultScenario`](crate::instance::FaultScenario), modelling
-/// checkpoint/rollback/shrink recovery.
-///
-/// The clean run fixes the per-iteration pace. Coordinated checkpoints
-/// every `K` density iterations charge their replayed cost throughout.
-/// When the crash lands inside the window, the run rolls back to the
-/// last checkpoint (losing `crash_iter mod K` iterations), pays a
-/// restart (checkpoint read-back plus a log-depth coordination sweep),
-/// and finishes every remaining iteration at the pace of the *shrunk*
-/// allocation — the crashed instance's group redistributes the dead
-/// rank's cells over one fewer rank, ULFM-style, rather than aborting
-/// the whole coupled job. Dropped CU exchanges never stall the target:
-/// it re-applies its last-good mapping (the prefetch-search cache) and
-/// the staleness is counted.
-///
-/// Without a fault attached this is exactly [`run_coupled`].
-pub fn run_coupled_resilient(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> CoupledRun {
-    run_coupled_resilient_logged(scenario, alloc, machine, sample_iters).0
-}
-
-/// [`run_coupled_resilient`] plus the deterministic log of every
-/// resilience decision the run took — checkpoints written, the crash /
-/// rollback / shrink sequence, stale CU exchanges, and SDC detection /
-/// recovery — in emission order. Same inputs ⇒ identical log and
-/// identical [`CoupledRun`].
-pub fn run_coupled_resilient_logged(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    sample_iters: u64,
-) -> (CoupledRun, Vec<ResilienceEvent>) {
-    let mut log = Vec::new();
-    let clean = run_coupled(scenario, alloc, machine, sample_iters);
+        resilience: Vec::new(),
+    };
     let Some(fault) = &scenario.fault else {
-        return (clean, log);
+        return clean;
     };
 
+    let mut log = Vec::new();
     let iters = scenario.density_iters;
     let k = fault.checkpoint_interval.max(1);
-    let ckpt = state_pass_secs(scenario, alloc, machine, 2.0);
+    let ckpt = state_pass_secs(scenario, alloc, &replayer, 2.0);
     let t_iter = clean.total_runtime / iters as f64;
 
     // Stale CU exchanges: the payload is lost in flight, so the target
@@ -632,9 +410,7 @@ pub fn run_coupled_resilient_logged(
             ranks_after: shrunk.app_ranks[fault.crash_app],
         });
         let (program, _) = build_program(scenario, &shrunk, machine, sample_iters, true, false);
-        let degraded = Replayer::new(machine.clone())
-            .run(&program)
-            .expect("shrunk program replays");
+        let degraded = replayer.run(&program).expect("shrunk program replays");
         let t_iter_degraded = degraded.makespan() / sample_iters as f64;
 
         // Restart: read the checkpoint back (priced like the write) and
@@ -662,7 +438,7 @@ pub fn run_coupled_resilient_logged(
     // policy prices its recovery. Disarmed, events propagate silently —
     // no detection, no recovery, no overhead (the coverage baseline).
     let abft_overhead = if fault.abft {
-        state_pass_secs(scenario, alloc, machine, 1.0) * iters as f64
+        state_pass_secs(scenario, alloc, &replayer, 1.0) * iters as f64
     } else {
         0.0
     };
@@ -713,37 +489,184 @@ pub fn run_coupled_resilient_logged(
     // Recovery overhead is the price of *reacting* to faults; the
     // standing detector cost is reported separately as `abft_overhead`.
     let recovery_overhead = (total_runtime - clean.total_runtime - abft_overhead).max(0.0);
-    (
-        CoupledRun {
-            app_runtimes: clean.app_runtimes,
-            total_runtime,
-            coupling_overhead: clean.coupling_overhead,
-            sample_iters,
-            world_size: clean.world_size,
-            faults_survived,
-            recovery_overhead,
-            checkpoint_cost,
-            stale_exchanges,
-            sdc_detected,
-            sdc_recovered,
-            abft_overhead,
-        },
-        log,
-    )
+    CoupledRun {
+        app_runtimes: clean.app_runtimes,
+        total_runtime,
+        coupling_overhead: clean.coupling_overhead,
+        sample_iters,
+        world_size: clean.world_size,
+        faults_survived,
+        recovery_overhead,
+        checkpoint_cost,
+        stale_exchanges,
+        sdc_detected,
+        sdc_recovered,
+        abft_overhead,
+        resilience: log,
+    }
 }
 
-/// Standalone ("uncoupled") runtime of each instance at its allocated
-/// rank count over the full window — the paper's Fig 9a comparison
-/// baseline.
-pub fn standalone_runtimes(scenario: &Scenario, alloc: &Allocation, machine: &Machine) -> Vec<f64> {
-    scenario
-        .apps
-        .iter()
-        .zip(&alloc.app_ranks)
-        .map(|(app, &p)| {
-            crate::model::app_step_runtime(&app.kind, p, machine) * scenario.density_iters as f64
-        })
-        .collect()
+/// Replay the coupled program with full observability: every op is
+/// labelled with the phase ids of [`coupled_phase_names`], the replay
+/// tracks the per-phase compute/comm breakdown, and each rank's
+/// phase-segment timeline is recorded as a [`TraceSession`] for the
+/// Chrome-trace / flamegraph exporters. Phase markers are free in the
+/// replayer, so timings are identical to the noise-free
+/// [`run_coupled_with`]'s program.
+///
+/// Returns `(phase_names, outcome, session)`; `outcome.phases` is
+/// always populated.
+pub fn trace_coupled(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    machine: &Machine,
+    sample_iters: u64,
+) -> (Vec<String>, ReplayOutcome, TraceSession) {
+    assert!(sample_iters >= 1);
+    let names = coupled_phase_names(scenario);
+    let (program, _) = build_program(scenario, alloc, machine, sample_iters, true, true);
+    let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (out, session) = Replayer::new(machine.clone())
+        .track_phases(names.len())
+        .run_traced(&program, &name_refs)
+        .expect("phased coupled program replays");
+    (names, out, session)
+}
+
+/// One recorded resilience decision of a faulty coupled run (see
+/// [`CoupledRun::resilience`]): which checkpoint/rollback/shrink
+/// and SDC detect/recover actions the scenario's fault plan forced, in
+/// deterministic emission order. The whole resilient timeline is a pure
+/// function of `(scenario, allocation, machine, noise)`, so two runs of the
+/// same inputs produce identical logs — which is what makes the log a
+/// recordable/replayable artifact.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ResilienceEvent {
+    /// A CU exchange payload was lost; the target re-applied its
+    /// last-good (stale) mapping.
+    StaleExchange {
+        /// Density iteration of the wasted exchange.
+        iter: u64,
+        /// Coupler-unit index in scenario order.
+        cu: usize,
+    },
+    /// A coordinated checkpoint was written.
+    Checkpoint {
+        /// Density iteration the checkpoint covers through.
+        iter: u64,
+    },
+    /// The fault plan crashed a rank of an app instance.
+    Crash {
+        /// App-instance index in scenario order.
+        app: usize,
+        /// Density iteration the crash landed in.
+        iter: u64,
+        /// Virtual time of the crash.
+        vtime: f64,
+    },
+    /// The run rolled back to the last checkpoint.
+    Rollback {
+        /// Density iteration of the restored checkpoint.
+        to_iter: u64,
+    },
+    /// The crashed instance's group redistributed the dead rank's cells
+    /// over one fewer rank (ULFM-style shrink recovery).
+    Shrink {
+        /// App-instance index in scenario order.
+        app: usize,
+        /// Rank count of the instance after the shrink.
+        ranks_after: usize,
+    },
+    /// The armed detector layer caught an injected silent corruption.
+    SdcDetected {
+        /// Density iteration of the strike.
+        iter: u64,
+        /// Where the corruption was injected.
+        site: crate::sdc::SdcSite,
+    },
+    /// A detected corruption was recovered under the scenario policy.
+    SdcRecovered {
+        /// Density iteration of the strike.
+        iter: u64,
+        /// Virtual seconds the recovery cost.
+        cost: f64,
+    },
+}
+
+/// The coupled program of [`run_coupled_with`] (all instances and CUs at
+/// their allocated rank counts, `sample_iters` density iterations),
+/// plus the MPMD layout. Exposed so external record/replay tooling can
+/// re-drive the exact program through the DES replayer.
+pub fn coupled_program(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    machine: &Machine,
+    sample_iters: u64,
+) -> (TraceProgram, MpmdLayout) {
+    assert!(sample_iters >= 1);
+    build_program(scenario, alloc, machine, sample_iters, true, false)
+}
+
+/// As [`coupled_program`] but with every op labelled with the phase ids
+/// of [`coupled_phase_names`]. The op stream is otherwise identical —
+/// phase markers are free — so replays of the phased and unphased
+/// programs produce the same virtual times. This is the input the
+/// critical-path analytics build their task graph from: phase labels
+/// are what the path attribution and the what-if rescaling key on.
+pub fn coupled_program_phased(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    machine: &Machine,
+    sample_iters: u64,
+) -> (TraceProgram, MpmdLayout) {
+    assert!(sample_iters >= 1);
+    build_program(scenario, alloc, machine, sample_iters, true, true)
+}
+
+/// Cost of `passes` bandwidth-bound passes over every solver rank's
+/// state (the five conservative variables per local cell), closed by an
+/// 8-byte world allreduce. Replayed as its own trace so the price
+/// reflects the machine model, not a hand constant.
+///
+/// A coordinated checkpoint is two passes (the drain costs twice the
+/// memory traffic) and its allreduce is the consistency marker. The
+/// armed detector layer's per-iteration ABFT column-sum scrub /
+/// invariant scan is one pass, with the allreduce agreeing on the
+/// verdict: that is the `abft_overhead` the report quantifies against
+/// coverage, and one extra state pass against the many a flux
+/// evaluation already makes is what keeps it under the paper-grade 10%
+/// bound.
+fn state_pass_secs(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    replayer: &Replayer,
+    passes: f64,
+) -> f64 {
+    let world: usize = alloc.app_ranks.iter().sum::<usize>() + alloc.cu_ranks.iter().sum::<usize>();
+    let mut program = TraceProgram::new(world);
+    let everyone = program.add_group((0..world).collect());
+    let mut rank = 0usize;
+    for (app, &p) in scenario.apps.iter().zip(&alloc.app_ranks) {
+        let state_share = app.cells / p as f64 * 5.0 * 8.0;
+        for _ in 0..p {
+            program
+                .rank(rank)
+                .compute(cpx_machine::KernelCost::bytes(state_share * passes));
+            program
+                .rank(rank)
+                .collective(CollectiveKind::Allreduce, everyone, 8);
+            rank += 1;
+        }
+    }
+    for r in rank..world {
+        program
+            .rank(r)
+            .collective(CollectiveKind::Allreduce, everyone, 8);
+    }
+    replayer
+        .run(&program)
+        .expect("state-pass trace replays")
+        .makespan()
 }
 
 #[cfg(test)]
@@ -767,7 +690,7 @@ mod tests {
     #[test]
     fn coupled_run_executes_and_scales() {
         let (scenario, alloc) = small_alloc(2000);
-        let run = run_coupled(&scenario, &alloc, &machine(), 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine(), 20, None);
         assert_eq!(run.world_size, 2000);
         assert_eq!(run.app_runtimes.len(), 3);
         assert!(run.total_runtime > 0.0);
@@ -782,7 +705,7 @@ mod tests {
         // §V-B: coupling overhead < 0.5% (we allow <2% at this reduced
         // validation scale).
         let (scenario, alloc) = small_alloc(2000);
-        let run = run_coupled(&scenario, &alloc, &machine(), 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine(), 20, None);
         assert!(
             run.coupling_overhead < 0.02,
             "coupling overhead {}",
@@ -802,7 +725,7 @@ mod tests {
             &[100, 400, 1600, 6400],
         );
         let alloc = allocate_scenario(&models, 2000);
-        let run = run_coupled(&scenario, &alloc, &machine(), 20);
+        let run = run_coupled_with(&scenario, &alloc, &machine(), 20, None);
         let predicted = alloc.predicted_runtime();
         let err = (predicted - run.total_runtime).abs() / run.total_runtime;
         assert!(
@@ -819,17 +742,20 @@ mod tests {
         // of the slowest, so individual runtimes include waiting).
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let run = run_coupled(&scenario, &alloc, &m, 20);
-        let standalone = standalone_runtimes(&scenario, &alloc, &m);
-        // The bottleneck instance's coupled time ≈ its standalone time.
+        let run = run_coupled_with(&scenario, &alloc, &m, 20, None);
+        // The bottleneck instance's coupled time ≈ its standalone time
+        // over the full window.
         let bottleneck = alloc.bottleneck_app();
-        let rel =
-            (run.app_runtimes[bottleneck] - standalone[bottleneck]).abs() / standalone[bottleneck];
+        let standalone = crate::model::app_step_runtime(
+            &scenario.apps[bottleneck].kind,
+            alloc.app_ranks[bottleneck],
+            &m,
+        ) * scenario.density_iters as f64;
+        let rel = (run.app_runtimes[bottleneck] - standalone).abs() / standalone;
         assert!(
             rel < 0.35,
-            "bottleneck coupled {} vs standalone {}",
-            run.app_runtimes[bottleneck],
-            standalone[bottleneck]
+            "bottleneck coupled {} vs standalone {standalone}",
+            run.app_runtimes[bottleneck]
         );
     }
 
@@ -837,7 +763,7 @@ mod tests {
     fn traced_coupled_run_matches_plain_and_attributes_phases() {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let plain = run_coupled(&scenario, &alloc, &m, 20);
+        let plain = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let (names, out, session) = trace_coupled(&scenario, &alloc, &m, 20);
         // Phase markers are free: identical coupled timing.
         let scale = scenario.density_iters as f64 / 20.0;
@@ -856,27 +782,6 @@ mod tests {
         // The traced timeline covers the whole world.
         assert_eq!(session.lanes.len(), plain.world_size);
         assert!(session.total_spans() > 0);
-    }
-
-    #[test]
-    fn coupled_run_round_trips_through_json() {
-        let run = CoupledRun {
-            app_runtimes: vec![10.5, 22.0, 7.25],
-            total_runtime: 25.0,
-            coupling_overhead: 0.004,
-            sample_iters: 20,
-            world_size: 2000,
-            faults_survived: 3,
-            recovery_overhead: 1.5,
-            checkpoint_cost: 0.5,
-            stale_exchanges: 2,
-            sdc_detected: 2,
-            sdc_recovered: 1,
-            abft_overhead: 0.75,
-        };
-        let text = run.to_json().write();
-        let back = CoupledRun::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, run);
     }
 
     #[test]
@@ -907,26 +812,29 @@ mod tests {
     }
 
     #[test]
-    fn resilient_run_without_fault_matches_clean() {
+    fn fault_free_run_reports_no_faults() {
         let (scenario, alloc) = small_alloc(2000);
-        let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
-        let res = run_coupled_resilient(&scenario, &alloc, &m, 20);
-        assert_eq!(res.faults_survived, 0);
-        assert_eq!(res.recovery_overhead, 0.0);
-        assert_eq!(res.total_runtime, clean.total_runtime);
+        let run = run_coupled_with(&scenario, &alloc, &machine(), 20, None);
+        assert_eq!(run.faults_survived, 0);
+        assert_eq!(run.recovery_overhead, 0.0);
+        assert_eq!(run.checkpoint_cost, 0.0);
+        assert_eq!(run.stale_exchanges, 0);
+        assert_eq!(run.sdc_detected, 0);
+        assert_eq!(run.sdc_recovered, 0);
+        assert_eq!(run.abft_overhead, 0.0);
+        assert!(run.resilience.is_empty());
     }
 
     #[test]
     fn resilient_run_survives_rank_crash_with_quantified_overhead() {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let scenario = scenario.with_fault(
             crate::instance::FaultScenario::crash(0, clean.total_runtime * 0.4)
                 .with_checkpoint_interval(10),
         );
-        let res = run_coupled_resilient(&scenario, &alloc, &m, 20);
+        let res = run_coupled_with(&scenario, &alloc, &m, 20, None);
         assert_eq!(res.faults_survived, 1);
         assert!(res.recovery_overhead > 0.0);
         assert!(res.checkpoint_cost > 0.0);
@@ -954,13 +862,13 @@ mod tests {
     fn tighter_checkpoints_cost_more_but_lose_less_work() {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let at = clean.total_runtime * 0.55;
         let run_with_k = |k: u64| {
             let s = scenario.clone().with_fault(
                 crate::instance::FaultScenario::crash(0, at).with_checkpoint_interval(k),
             );
-            run_coupled_resilient(&s, &alloc, &m, 20)
+            run_coupled_with(&s, &alloc, &m, 20, None)
         };
         let tight = run_with_k(5);
         let loose = run_with_k(50);
@@ -981,7 +889,7 @@ mod tests {
         use crate::sdc::{SdcInjection, SdcPolicy, SdcSite};
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let events = vec![
             SdcInjection::at(33, SdcSite::SparseKernel),
             SdcInjection::at(71, SdcSite::PhysicsInvariant),
@@ -992,7 +900,7 @@ mod tests {
                     .with_sdc_policy(policy)
                     .with_checkpoint_interval(10),
             );
-            run_coupled_resilient(&s, &alloc, &m, 20)
+            run_coupled_with(&s, &alloc, &m, 20, None)
         };
         let flag = run_with(SdcPolicy::FlagOnly);
         let recompute = run_with(SdcPolicy::Recompute);
@@ -1026,7 +934,7 @@ mod tests {
         use crate::sdc::{SdcInjection, SdcSite};
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let s = scenario.with_fault(
             crate::instance::FaultScenario::sdc_only(vec![SdcInjection::at(
                 10,
@@ -1034,7 +942,7 @@ mod tests {
             )])
             .with_abft(false),
         );
-        let run = run_coupled_resilient(&s, &alloc, &m, 20);
+        let run = run_coupled_with(&s, &alloc, &m, 20, None);
         assert_eq!(run.sdc_detected, 0);
         assert_eq!(run.sdc_recovered, 0);
         assert_eq!(run.abft_overhead, 0.0);
@@ -1051,7 +959,7 @@ mod tests {
         let s = scenario.with_fault(crate::instance::FaultScenario::sdc_only(vec![
             SdcInjection::at(5, SdcSite::HaloExchange),
         ]));
-        let run = run_coupled_resilient(&s, &alloc, &m, 20);
+        let run = run_coupled_with(&s, &alloc, &m, 20, None);
         let frac = run.abft_overhead / run.total_runtime;
         assert!(
             frac > 0.0 && frac < 0.10,
@@ -1069,7 +977,7 @@ mod tests {
             SdcInjection::at(iters, SdcSite::SparseKernel),
             SdcInjection::at(iters + 50, SdcSite::SolverCycle),
         ]));
-        let run = run_coupled_resilient(&s, &alloc, &m, 20);
+        let run = run_coupled_with(&s, &alloc, &m, 20, None);
         assert_eq!(run.sdc_detected, 0);
         assert_eq!(run.recovery_overhead, 0.0);
         assert!(run.abft_overhead > 0.0, "detectors still run");
@@ -1079,14 +987,12 @@ mod tests {
     fn resilient_log_records_crash_recovery_sequence() {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         let scenario = scenario.with_fault(
             crate::instance::FaultScenario::crash(1, clean.total_runtime * 0.4)
                 .with_checkpoint_interval(10),
         );
-        let (run, log) = run_coupled_resilient_logged(&scenario, &alloc, &m, 20);
-        let plain = run_coupled_resilient(&scenario, &alloc, &m, 20);
-        assert_eq!(run, plain);
+        let log = run_coupled_with(&scenario, &alloc, &m, 20, None).resilience;
         // The crash path emits Crash → Rollback → Shrink in order.
         let crash = log
             .iter()
@@ -1116,15 +1022,37 @@ mod tests {
             .count();
         assert_eq!(n_ckpt_events as u64, scenario.density_iters / 10);
         // Determinism: identical inputs, identical log.
-        let (_, again) = run_coupled_resilient_logged(&scenario, &alloc, &m, 20);
+        let again = run_coupled_with(&scenario, &alloc, &m, 20, None).resilience;
         assert_eq!(log, again);
+    }
+
+    #[test]
+    fn noisy_crash_run_is_deterministic_for_one_seed() {
+        let (scenario, alloc) = small_alloc(2000);
+        let m = machine();
+        let quiet = run_coupled_with(&scenario, &alloc, &m, 20, None);
+        let scenario = scenario.with_fault(
+            crate::instance::FaultScenario::crash(0, quiet.total_runtime * 0.4)
+                .with_checkpoint_interval(10),
+        );
+        let noisy = |seed: u64| run_coupled_with(&scenario, &alloc, &m, 20, Some((0.04, seed)));
+        let run = noisy(5);
+        assert_eq!(run.faults_survived, 1);
+        assert!(run
+            .resilience
+            .iter()
+            .any(|e| matches!(e, ResilienceEvent::Crash { app: 0, .. })));
+        // Same seed: the same run, decision log included.
+        assert_eq!(run, noisy(5));
+        // The noise reaches the faulty run: another seed moves it.
+        assert_ne!(run.total_runtime, noisy(6).total_runtime);
     }
 
     #[test]
     fn dropped_exchanges_counted_as_stale_not_fatal() {
         let (scenario, alloc) = small_alloc(2000);
         let m = machine();
-        let clean = run_coupled(&scenario, &alloc, &m, 20);
+        let clean = run_coupled_with(&scenario, &alloc, &m, 20, None);
         // Crash beyond the end: only the dropped exchanges fire. Both
         // CUs exchange on iteration 0 (sliding every iter, steady on
         // period boundaries); iteration 7 is sliding-only.
@@ -1132,7 +1060,7 @@ mod tests {
             crate::instance::FaultScenario::crash(0, clean.total_runtime * 10.0)
                 .with_dropped_exchanges(vec![0, 7]),
         );
-        let res = run_coupled_resilient(&scenario, &alloc, &m, 20);
+        let res = run_coupled_with(&scenario, &alloc, &m, 20, None);
         assert_eq!(res.stale_exchanges, 3);
         assert_eq!(res.faults_survived, 3);
         assert!(res.recovery_overhead > 0.0); // checkpoints + stale applies

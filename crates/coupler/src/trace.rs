@@ -137,6 +137,20 @@ impl CouplerTraceModel {
     /// the CU ranks (round-robin), CU ranks remap + interpolate, then
     /// send shares to app B's surface ranks. Ops are appended to all
     /// three rank sets.
+    ///
+    /// When `deferred_b` is provided the target-side receive/unpack ops
+    /// are pushed there instead of into the program — the caller appends
+    /// them later. Steady-state couplings are *lagged*: the receiving
+    /// solver works with the previous exchange's (time-averaged) data
+    /// rather than synchronously waiting on the donor, so a slow donor
+    /// never stalls the target (§II-A).
+    ///
+    /// With `phases`, the gather / search / interpolate / scatter stages
+    /// are labelled with the given [`ExchangePhases`] ids so a traced
+    /// replay can attribute time to each stage. The remap and
+    /// interpolation computes are then emitted as two ops (instead of
+    /// one combined op) so they land in separate phases; the total
+    /// charged work is unchanged.
     pub fn emit_exchange(
         &self,
         program: &mut TraceProgram,
@@ -146,94 +160,7 @@ impl CouplerTraceModel {
         machine: &Machine,
         first_exchange: bool,
         tag_base: u32,
-    ) {
-        self.emit_exchange_deferred(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            None,
-        );
-    }
-
-    /// As [`CouplerTraceModel::emit_exchange`], but when `deferred_b` is
-    /// provided the target-side receive/unpack ops are pushed there
-    /// instead of into the program — the caller appends them later.
-    /// Steady-state couplings are *lagged*: the receiving solver works
-    /// with the previous exchange's (time-averaged) data rather than
-    /// synchronously waiting on the donor, so a slow donor never stalls
-    /// the target (§II-A).
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_exchange_deferred(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
-    ) {
-        self.emit_exchange_inner(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            deferred_b,
-            None,
-        );
-    }
-
-    /// As [`CouplerTraceModel::emit_exchange_deferred`], labelling the
-    /// gather / search / interpolate / scatter stages with the supplied
-    /// [`ExchangePhases`] ids so a traced replay can attribute time to
-    /// each stage. The remap and interpolation computes are emitted as
-    /// two ops (instead of one combined op) so they land in separate
-    /// phases; the total charged work is unchanged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn emit_exchange_phased(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
-        phases: ExchangePhases,
-    ) {
-        self.emit_exchange_inner(
-            program,
-            cu_ranks,
-            a_surface,
-            b_surface,
-            machine,
-            first_exchange,
-            tag_base,
-            deferred_b,
-            Some(phases),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_exchange_inner(
-        &self,
-        program: &mut TraceProgram,
-        cu_ranks: &[usize],
-        a_surface: &[usize],
-        b_surface: &[usize],
-        machine: &Machine,
-        first_exchange: bool,
-        tag_base: u32,
-        deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
+        mut deferred_b: Option<&mut Vec<(usize, Vec<Op>)>>,
         phases: Option<ExchangePhases>,
     ) {
         let cu_p = cu_ranks.len();
@@ -296,7 +223,6 @@ impl CouplerTraceModel {
             }
         }
         // Target surface ranks: receive + unpack (possibly deferred).
-        let mut deferred_b = deferred_b;
         for (k, &br) in b_surface.iter().enumerate() {
             let cu = cu_ranks[k % cu_p];
             let mut ops = Vec::with_capacity(3);
@@ -337,6 +263,8 @@ impl CouplerTraceModel {
             machine,
             false,
             900,
+            None,
+            None,
         );
         Replayer::new(machine.clone())
             .run(&program)
@@ -420,7 +348,7 @@ mod tests {
         let cu: Vec<usize> = (0..4).collect();
         let a: Vec<usize> = (4..12).collect();
         let b: Vec<usize> = (12..20).collect();
-        model.emit_exchange(&mut program, &cu, &a, &b, &m, true, 700);
+        model.emit_exchange(&mut program, &cu, &a, &b, &m, true, 700, None, None);
         assert!(program.validate().is_ok());
         let out = Replayer::new(m).run(&program).unwrap();
         // 8 gathers + 8 scatters.
@@ -436,14 +364,14 @@ mod tests {
         let cu: Vec<usize> = (0..4).collect();
         let a: Vec<usize> = (4..12).collect();
         let b: Vec<usize> = (12..20).collect();
-        model.emit_exchange(&mut plain, &cu, &a, &b, &m, true, 700);
+        model.emit_exchange(&mut plain, &cu, &a, &b, &m, true, 700, None, None);
         let ph = ExchangePhases {
             gather: 1,
             search: 2,
             interpolate: 3,
             scatter: 4,
         };
-        model.emit_exchange_phased(&mut phased, &cu, &a, &b, &m, true, 700, None, ph);
+        model.emit_exchange(&mut phased, &cu, &a, &b, &m, true, 700, None, Some(ph));
         assert!(phased.validate().is_ok());
         let t0 = Replayer::new(m.clone()).run(&plain).unwrap().makespan();
         let out = Replayer::new(m).track_phases(5).run(&phased).unwrap();

@@ -78,7 +78,7 @@ impl MgCfdTraceModel {
         let p = ranks.len();
         assert!(p >= 1);
         for (i, &world_rank) in ranks.iter().enumerate() {
-            let body = self.step_body(i, p, ranks, group);
+            let body = self.step_body(i, p, ranks, group, None);
             program
                 .rank(world_rank)
                 .ops
@@ -87,8 +87,22 @@ impl MgCfdTraceModel {
     }
 
     /// The ops of one solver iteration for group-index `i` of `p`.
-    pub fn step_body(&self, i: usize, p: usize, ranks: &[usize], group: usize) -> Vec<Op> {
-        let mut body = Vec::new();
+    ///
+    /// With `phase`, the body starts with an `Op::Phase(phase)` marker
+    /// so a traced replay attributes the whole iteration to this
+    /// instance — used by the coupled profiler, where CU-exchange phases
+    /// interleave into the same rank timeline and each must hand the
+    /// rank back to its owning app's phase. Phase markers are free in
+    /// the replayer, so timings are identical to the unlabelled body.
+    pub fn step_body(
+        &self,
+        i: usize,
+        p: usize,
+        ranks: &[usize],
+        group: usize,
+        phase: Option<PhaseId>,
+    ) -> Vec<Op> {
+        let mut body: Vec<Op> = phase.map(Op::Phase).into_iter().collect();
         for level in 0..self.config.mg_levels {
             let cells = self.cells_of_rank(i, p, level);
             let sweeps = if level == 0 {
@@ -119,26 +133,6 @@ impl MgCfdTraceModel {
             group,
             bytes: 8,
         });
-        body
-    }
-
-    /// As [`MgCfdTraceModel::step_body`], prefixed with an
-    /// `Op::Phase(phase)` marker so a traced replay attributes the
-    /// whole iteration to this instance — used by the coupled profiler,
-    /// where CU-exchange phases interleave into the same rank timeline
-    /// and each must hand the rank back to its owning app's phase.
-    /// Phase markers are free in the replayer, so timings are identical
-    /// to the unphased body.
-    pub fn step_body_phased(
-        &self,
-        i: usize,
-        p: usize,
-        ranks: &[usize],
-        group: usize,
-        phase: PhaseId,
-    ) -> Vec<Op> {
-        let mut body = vec![Op::Phase(phase)];
-        body.extend(self.step_body(i, p, ranks, group));
         body
     }
 
@@ -270,11 +264,7 @@ mod tests {
             let mut program = TraceProgram::new(8);
             let g = program.add_world_group();
             for i in 0..8 {
-                let body = if phased {
-                    m.step_body_phased(i, 8, &ranks, g, 3)
-                } else {
-                    m.step_body(i, 8, &ranks, g)
-                };
+                let body = m.step_body(i, 8, &ranks, g, phased.then_some(3));
                 program.rank(i).ops.push(Op::Repeat { count: 4, body });
             }
             Replayer::new(machine.clone())

@@ -106,11 +106,6 @@ impl Json {
         out.write_all(self.write().as_bytes())
     }
 
-    /// Serialize pretty JSON into an [`std::io::Write`] sink.
-    pub fn write_pretty_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        out.write_all(self.write_pretty().as_bytes())
-    }
-
     fn write_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

@@ -62,12 +62,6 @@ impl PressureConfig {
         self.variant = PressureVariant::Optimized;
         self
     }
-
-    /// Switch to the §V-C worst-case sensitivity variant.
-    pub fn worst_case(mut self) -> PressureConfig {
-        self.variant = PressureVariant::WorstCase;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -357,21 +357,10 @@ impl PressureTraceModel {
         ops
     }
 
-    /// Emit the setup plus `steps` timesteps onto `program`.
+    /// Emit the setup plus `steps` timesteps onto `program`. With
+    /// `detailed`, the pressure-field solve is labelled with
+    /// [`PfSubPhase`] ids instead of the single `PressureField` phase.
     pub fn emit(
-        &self,
-        program: &mut TraceProgram,
-        ranks: &[usize],
-        group: usize,
-        steps: u32,
-        machine: &Machine,
-    ) {
-        self.emit_with(program, ranks, group, steps, machine, false);
-    }
-
-    /// [`PressureTraceModel::emit`] with optional [`PfSubPhase`]
-    /// labelling of the pressure-field solve.
-    pub fn emit_with(
         &self,
         program: &mut TraceProgram,
         ranks: &[usize],
@@ -404,39 +393,14 @@ impl PressureTraceModel {
         let mut prog = TraceProgram::new(p);
         let ranks: Vec<usize> = (0..p).collect();
         let group = prog.add_world_group();
-        self.emit_with(&mut prog, &ranks, group, steps, machine, detailed);
+        self.emit(&mut prog, &ranks, group, steps, machine, detailed);
         prog
     }
 
     /// Replay a short standalone run; returns `(per_step_seconds,
     /// setup_seconds, phase breakdown over the sampled steps)`.
     pub fn profile(&self, p: usize, machine: &Machine, steps: u32) -> (f64, f64, PhaseBreakdown) {
-        assert!(steps >= 1);
-        // Setup-only program to isolate setup time.
-        let setup_time = {
-            let mut prog = TraceProgram::new(p);
-            let ranks: Vec<usize> = (0..p).collect();
-            let group = prog.add_world_group();
-            let bw = machine.mem_bw_per_core;
-            for (i, _) in ranks.iter().enumerate() {
-                let ops = self.setup_ops(bw, p, group);
-                prog.rank(i).ops.extend(ops);
-            }
-            Replayer::new(machine.clone())
-                .run(&prog)
-                .expect("setup")
-                .makespan()
-        };
-        let mut prog = TraceProgram::new(p);
-        let ranks: Vec<usize> = (0..p).collect();
-        let group = prog.add_world_group();
-        self.emit(&mut prog, &ranks, group, steps, machine);
-        let out = Replayer::new(machine.clone())
-            .track_phases(6)
-            .run(&prog)
-            .expect("pressure trace must replay");
-        let per_step = (out.makespan() - setup_time) / steps as f64;
-        (per_step, setup_time, out.phases.expect("tracked"))
+        self.profile_with(p, machine, steps, false)
     }
 
     /// [`PressureTraceModel::profile`] with the pressure-field solve
@@ -449,23 +413,36 @@ impl PressureTraceModel {
         machine: &Machine,
         steps: u32,
     ) -> (f64, f64, PhaseBreakdown) {
+        self.profile_with(p, machine, steps, true)
+    }
+
+    fn profile_with(
+        &self,
+        p: usize,
+        machine: &Machine,
+        steps: u32,
+        detailed: bool,
+    ) -> (f64, f64, PhaseBreakdown) {
         assert!(steps >= 1);
+        let replayer = Replayer::new(machine.clone());
+        // Setup-only program to isolate setup time.
         let setup_time = {
             let mut prog = TraceProgram::new(p);
             let group = prog.add_world_group();
             let bw = machine.mem_bw_per_core;
             for i in 0..p {
-                let ops = self.setup_ops(bw, p, group);
-                prog.rank(i).ops.extend(ops);
+                prog.rank(i).ops.extend(self.setup_ops(bw, p, group));
             }
-            Replayer::new(machine.clone())
-                .run(&prog)
-                .expect("setup")
-                .makespan()
+            replayer.run(&prog).expect("setup").makespan()
         };
-        let prog = self.build_program(p, machine, steps, true);
-        let out = Replayer::new(machine.clone())
-            .track_phases(N_DETAILED_PHASES)
+        let prog = self.build_program(p, machine, steps, detailed);
+        let n_phases = if detailed {
+            N_DETAILED_PHASES
+        } else {
+            PressurePhase::ALL.len()
+        };
+        let out = replayer
+            .track_phases(n_phases)
             .run(&prog)
             .expect("pressure trace must replay");
         let per_step = (out.makespan() - setup_time) / steps as f64;

@@ -166,7 +166,7 @@ fn overhead_gate() -> ExitCode {
     for _ in 0..50 {
         let t0 = std::time::Instant::now();
         std::hint::black_box(replayer.run(&program).expect("replays"));
-        let run = sim::run_coupled(&scenario, &alloc, &machine, 5);
+        let run = sim::run_coupled_with(&scenario, &alloc, &machine, 5, None);
         std::hint::black_box(markdown_report(&scenario, &alloc, &run).len());
         plain = plain.min(t0.elapsed().as_secs_f64());
 
@@ -174,7 +174,7 @@ fn overhead_gate() -> ExitCode {
         replayer
             .run_logged_into(&program, &mut log)
             .expect("replays");
-        let run = sim::run_coupled(&scenario, &alloc, &machine, 5);
+        let run = sim::run_coupled_with(&scenario, &alloc, &machine, 5, None);
         std::hint::black_box(markdown_report(&scenario, &alloc, &run).len());
         logged = logged.min(t1.elapsed().as_secs_f64());
     }

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 use cpx_comm::{FaultPlan, ReduceOp, World};
 use cpx_core::prelude::*;
-use cpx_core::{coupled_program, run_coupled_resilient_logged, sim};
+use cpx_core::{coupled_program, sim};
 use cpx_machine::{KernelCost, Machine, Replayer};
 use cpx_obs::json::{Json, ToJson};
 
@@ -174,7 +174,7 @@ fn clean_coupled() -> GoldenArtifacts {
     let (_, des_log) = Replayer::new(machine.clone())
         .run_logged(&program)
         .expect("clean coupled program replays");
-    let run = sim::run_coupled(&scenario, &alloc, &machine, sample_iters);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, sample_iters, None);
     let report = markdown_report(&scenario, &alloc, &run);
     let trace = Trace {
         label: "clean_coupled".to_string(),
@@ -200,17 +200,22 @@ fn crash_shrink() -> GoldenArtifacts {
     let machine = archer2();
     let alloc = small_alloc(&scenario, 310);
     let sample_iters = 3;
-    let clean = sim::run_coupled(&scenario, &alloc, &machine, sample_iters);
+    let clean = sim::run_coupled_with(&scenario, &alloc, &machine, sample_iters, None);
     let mut fault = FaultScenario::crash(1, 0.4 * clean.total_runtime);
     fault.checkpoint_interval = 10;
     scenario.fault = Some(fault);
-    let (run, log) = run_coupled_resilient_logged(&scenario, &alloc, &machine, sample_iters);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, sample_iters, None);
     let report = markdown_report(&scenario, &alloc, &run);
     let trace = Trace {
         label: "crash_shrink".to_string(),
         seed: 0,
         world_size: alloc.total_ranks() as u32,
-        events: log.into_iter().map(ReplayEvent::from).collect(),
+        events: run
+            .resilience
+            .iter()
+            .copied()
+            .map(ReplayEvent::from)
+            .collect(),
     };
     let bench = bench_json("crash_shrink", 0, &trace, Some(&run));
     GoldenArtifacts {
@@ -242,13 +247,18 @@ fn sdc_recovery() -> GoldenArtifacts {
             site: SdcSite::PhysicsInvariant,
         },
     ]));
-    let (run, log) = run_coupled_resilient_logged(&scenario, &alloc, &machine, sample_iters);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, sample_iters, None);
     let report = markdown_report(&scenario, &alloc, &run);
     let trace = Trace {
         label: "sdc_recovery".to_string(),
         seed: 0,
         world_size: alloc.total_ranks() as u32,
-        events: log.into_iter().map(ReplayEvent::from).collect(),
+        events: run
+            .resilience
+            .iter()
+            .copied()
+            .map(ReplayEvent::from)
+            .collect(),
     };
     let bench = bench_json("sdc_recovery", 0, &trace, Some(&run));
     GoldenArtifacts {

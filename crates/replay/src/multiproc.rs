@@ -1,7 +1,7 @@
 //! The `multiproc_smoke` scenario: one seeded rank program that must
 //! produce byte-identical artifacts whether the world runs in a single
 //! process ([`cpx_comm::World::run_with_plan_logged`]) or split across
-//! OS processes connected by TCP ([`cpx_comm::run_node`]).
+//! OS processes connected by TCP ([`cpx_comm::run_node_obs`]).
 //!
 //! The scenario definition lives here — label, seed, world shape, fault
 //! plan, rank program and artifact rendering — so the golden corpus

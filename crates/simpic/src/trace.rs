@@ -164,34 +164,13 @@ impl SimpicTraceModel {
     /// Emit `steps` SIMPIC timesteps for an instance on `ranks` with
     /// collective group `group`. A full pipelined sweep runs every
     /// [`CHAIN_INTERVAL`] steps.
-    pub fn emit(&self, program: &mut TraceProgram, ranks: &[usize], group: usize, steps: u32) {
-        self.emit_inner(program, ranks, group, steps, None);
-    }
-
-    /// As [`SimpicTraceModel::emit`], labelling particle steps with
-    /// `step_phase` and the pipelined field sweeps with `sweep_phase`
-    /// (`Op::Phase` markers, free in the replayer) so a traced replay
-    /// separates particle work from the serialized solve that limits
-    /// scaling.
-    pub fn emit_phased(
-        &self,
-        program: &mut TraceProgram,
-        ranks: &[usize],
-        group: usize,
-        steps: u32,
-        step_phase: PhaseId,
-        sweep_phase: PhaseId,
-    ) {
-        self.emit_inner(
-            program,
-            ranks,
-            group,
-            steps,
-            Some((step_phase, sweep_phase)),
-        );
-    }
-
-    fn emit_inner(
+    ///
+    /// With `phases = Some((step_phase, sweep_phase))`, particle steps
+    /// are labelled with `step_phase` and the pipelined field sweeps with
+    /// `sweep_phase` (`Op::Phase` markers, free in the replayer) so a
+    /// traced replay separates particle work from the serialized solve
+    /// that limits scaling.
+    pub fn emit(
         &self,
         program: &mut TraceProgram,
         ranks: &[usize],
@@ -240,7 +219,7 @@ impl SimpicTraceModel {
         let mut program = TraceProgram::new(p);
         let ranks: Vec<usize> = (0..p).collect();
         let group = program.add_world_group();
-        self.emit(&mut program, &ranks, group, sample_steps);
+        self.emit(&mut program, &ranks, group, sample_steps, None);
         let out = Replayer::new(machine.clone())
             .run(&program)
             .expect("SIMPIC trace must replay");
@@ -352,7 +331,7 @@ mod tests {
         let mut program = TraceProgram::new(6);
         let g = program.add_group((0..6).collect());
         let m = SimpicTraceModel::new(SimpicConfig::base_28m());
-        m.emit(&mut program, &[0, 1, 2, 3, 4, 5], g, 20);
+        m.emit(&mut program, &[0, 1, 2, 3, 4, 5], g, 20, None);
         assert!(program.validate().is_ok());
         let out = Replayer::new(Machine::archer2()).run(&program).unwrap();
         assert!(out.makespan() > 0.0);
@@ -366,11 +345,7 @@ mod tests {
             let mut program = TraceProgram::new(6);
             let g = program.add_world_group();
             let ranks: Vec<usize> = (0..6).collect();
-            if phased {
-                m.emit_phased(&mut program, &ranks, g, 18, 1, 2);
-            } else {
-                m.emit(&mut program, &ranks, g, 18);
-            }
+            m.emit(&mut program, &ranks, g, 18, phased.then_some((1, 2)));
             Replayer::new(machine.clone())
                 .track_phases(3)
                 .run(&program)
@@ -391,7 +366,7 @@ mod tests {
         let mut program = TraceProgram::new(1);
         let g = program.add_world_group();
         let m = SimpicTraceModel::new(SimpicConfig::base_28m());
-        m.emit(&mut program, &[0], g, 16);
+        m.emit(&mut program, &[0], g, 16, None);
         let out = Replayer::new(Machine::archer2()).run(&program).unwrap();
         assert_eq!(out.messages, 0);
     }

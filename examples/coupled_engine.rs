@@ -9,10 +9,13 @@
 use cpx_core::prelude::*;
 
 fn main() {
-    let budget: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000);
+    let budget: usize = match std::env::args().nth(1) {
+        None => 40_000,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("usage: coupled_engine [budget]");
+            std::process::exit(2)
+        }),
+    };
     let machine = Machine::archer2();
     let grid = [
         100usize, 200, 400, 800, 1600, 3200, 6400, 12_800, 25_600, 40_000,
@@ -47,7 +50,7 @@ fn main() {
             alloc.cu_ranks.iter().sum::<usize>()
         );
 
-        let run = sim::run_coupled(&scenario, &alloc, &machine, 20);
+        let run = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
         println!(
             "predicted {:.0}s | measured {:.0}s | error {:.1}% | coupling overhead {:.2}%",
             alloc.predicted_runtime(),
@@ -63,7 +66,7 @@ fn main() {
         let faulty = scenario.clone().with_fault(
             FaultScenario::crash(crash_app, run.total_runtime * 0.5).with_checkpoint_interval(100),
         );
-        let res = sim::run_coupled_resilient(&faulty, &alloc, &machine, 20);
+        let res = sim::run_coupled_with(&faulty, &alloc, &machine, 20, None);
         println!(
             "with a rank lost in {}: +{:.0}s recovery overhead ({:.1}%), \
              {:.0}s in checkpoints, {} fault(s) survived",

@@ -20,67 +20,14 @@
 //! `--replay` re-drives the study against a saved trace and exits
 //! nonzero on the first diverging event.
 
-use std::path::PathBuf;
+mod common;
 
 use cpx_comm::{FaultPlan, RankOutcome, ReduceOp, World};
 use cpx_core::prelude::*;
-use cpx_core::sim::{run_coupled_resilient_logged, CoupledRun};
-use cpx_replay::{verify, ReplayEvent, Trace};
-
-struct Args {
-    budget: usize,
-    seed: u64,
-    record: Option<PathBuf>,
-    replay: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: fault_study [budget] [--seed <u64>] [--record <path>] [--replay <path>]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        budget: 2000,
-        seed: 0,
-        record: None,
-        replay: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--record" => args.record = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--replay" => args.replay = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            s => match s.parse() {
-                Ok(b) => args.budget = b,
-                Err(_) => usage(),
-            },
-        }
-    }
-    args
-}
-
-/// Run the resilient coupled case, folding its resilience decisions
-/// into the study's event log.
-fn resilient_logged(
-    scenario: &Scenario,
-    alloc: &Allocation,
-    machine: &Machine,
-    events: &mut Vec<ReplayEvent>,
-) -> CoupledRun {
-    let (run, log) = run_coupled_resilient_logged(scenario, alloc, machine, 20);
-    events.extend(log.into_iter().map(ReplayEvent::from));
-    run
-}
+use cpx_replay::ReplayEvent;
 
 fn main() {
-    let args = parse_args();
+    let args = common::parse_args("fault_study");
     let budget = args.budget;
     let machine = Machine::archer2();
     let mut events: Vec<ReplayEvent> = Vec::new();
@@ -127,7 +74,7 @@ fn main() {
     let scenario = testcases::small_150m_28m(StcVariant::Base);
     let models = model::build_models_with_grid(&scenario, &machine, 100.0, &[100, 400, 1600, 6400]);
     let alloc = model::allocate_scenario(&models, budget);
-    let clean = sim::run_coupled(&scenario, &alloc, &machine, 20);
+    let clean = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
     println!(
         "\n=== coupled recovery: {} on {} ranks, clean runtime {:.1}s ===",
         scenario.name,
@@ -145,7 +92,8 @@ fn main() {
             let faulty = scenario.clone().with_fault(
                 FaultScenario::crash(app, clean.total_runtime * frac).with_checkpoint_interval(10),
             );
-            let run = resilient_logged(&faulty, &alloc, &machine, &mut events);
+            let run = sim::run_coupled_with(&faulty, &alloc, &machine, 20, None);
+            events.extend(run.resilience.iter().copied().map(ReplayEvent::from));
             println!(
                 "{:>7.0}% {:>18} {:>8} {:>12.1} {:>10.1}% {:>9.1}",
                 frac * 100.0,
@@ -167,7 +115,8 @@ fn main() {
         let faulty = scenario.clone().with_fault(
             FaultScenario::crash(0, clean.total_runtime * 0.5).with_checkpoint_interval(k),
         );
-        let run = resilient_logged(&faulty, &alloc, &machine, &mut events);
+        let run = sim::run_coupled_with(&faulty, &alloc, &machine, 20, None);
+        events.extend(run.resilience.iter().copied().map(ReplayEvent::from));
         println!(
             "{k:>6} {:>12.1} {:>12.1} {:>12.1}",
             run.checkpoint_cost, run.recovery_overhead, run.total_runtime
@@ -179,77 +128,12 @@ fn main() {
         FaultScenario::crash(0, clean.total_runtime * 10.0) // no crash
             .with_dropped_exchanges(vec![0, 7, 20]),
     );
-    let run = resilient_logged(&faulty, &alloc, &machine, &mut events);
+    let run = sim::run_coupled_with(&faulty, &alloc, &machine, 20, None);
+    events.extend(run.resilience.iter().copied().map(ReplayEvent::from));
     println!(
         "{} exchanges fell back to the last-good mapping; overhead {:.1}s",
         run.stale_exchanges, run.recovery_overhead
     );
 
-    finish_record_replay(
-        "fault_study",
-        args.seed,
-        8,
-        events,
-        &args.record,
-        &args.replay,
-    );
-}
-
-/// Shared record/replay tail: save the event log and/or verify it
-/// against a previously recorded trace, exiting nonzero on divergence.
-fn finish_record_replay(
-    label: &str,
-    seed: u64,
-    world_size: u32,
-    events: Vec<ReplayEvent>,
-    record: &Option<PathBuf>,
-    replay: &Option<PathBuf>,
-) {
-    if let Some(path) = record {
-        let trace = Trace {
-            label: label.to_string(),
-            seed,
-            world_size,
-            events: events.clone(),
-        };
-        match trace.save(path) {
-            Ok(()) => println!(
-                "\nrecorded {} events to {}",
-                trace.events.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = replay {
-        let trace = match Trace::load(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot load {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        if trace.seed != seed {
-            eprintln!(
-                "trace {} was recorded with --seed {}, this run used --seed {seed}",
-                path.display(),
-                trace.seed
-            );
-            std::process::exit(1);
-        }
-        match verify(&trace.events, &events) {
-            Ok(()) => println!(
-                "\nreplay ok: {} events match {}",
-                events.len(),
-                path.display()
-            ),
-            Err(d) => {
-                eprintln!("\nreplay DIVERGED from {}: {d}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    common::finish_record_replay("fault_study", &args, 8, events);
 }

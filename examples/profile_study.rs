@@ -105,7 +105,7 @@ fn generate(machine: &Machine) -> Artifacts {
         &[100, 400, 1600],
     );
     let alloc = model::allocate_scenario(&models, 1200);
-    let run = sim::run_coupled(&scenario, &alloc, machine, 8);
+    let run = sim::run_coupled_with(&scenario, &alloc, machine, 8, None);
     let (phase_names, out, _) = sim::trace_coupled(&scenario, &alloc, machine, 8);
     let coupled = PhaseProfile::coupled(
         &scenario,

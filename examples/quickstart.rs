@@ -46,7 +46,7 @@ fn main() {
     );
 
     // 3. Run the coupled simulation on the virtual testbed and compare.
-    let run = sim::run_coupled(&scenario, &alloc, &machine, 20);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
     println!(
         "measured coupled runtime:  {:.1}s (coupling overhead {:.2}%)",
         run.total_runtime,

@@ -9,7 +9,13 @@ use cpx_core::prelude::*;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let budget: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(5000);
+    let budget: usize = match args.next() {
+        None => 5000,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("usage: report_study [budget] [out.md]");
+            std::process::exit(2)
+        }),
+    };
     let out_path = args.next().unwrap_or_else(|| "study_report.md".to_string());
 
     let machine = Machine::archer2();
@@ -21,7 +27,7 @@ fn main() {
         &[100, 200, 400, 800, 1600, 3200, budget.max(3200)],
     );
     let alloc = model::allocate_scenario(&models, budget);
-    let run = sim::run_coupled(&scenario, &alloc, &machine, 20);
+    let run = sim::run_coupled_with(&scenario, &alloc, &machine, 20, None);
 
     let report = markdown_report(&scenario, &alloc, &run);
     if let Some(dir) = std::path::Path::new(&out_path)

@@ -33,20 +33,20 @@
 //! `--replay` re-drives the study against a saved trace and exits
 //! nonzero on the first diverging event.
 
-use std::path::PathBuf;
+mod common;
+
 use std::time::Instant;
 
 use cpx_amg::{apply_cycle_guarded, CycleType, Hierarchy, HierarchyConfig};
 use cpx_comm::{BitFlipInjector, CommError, FaultPlan, RankOutcome, World};
 use cpx_core::prelude::*;
 use cpx_core::sdc::{SdcInjection, SdcPolicy, SdcSite};
-use cpx_core::sim::run_coupled_resilient_logged;
 use cpx_coupler::ConservativeMap;
 use cpx_mesh::mesh::{annulus_sector, combustor_box};
 use cpx_mesh::{sliding_plane_pair, MeshHierarchy};
 use cpx_mgcfd::guard::InvariantGuard;
 use cpx_mgcfd::EulerSolver;
-use cpx_replay::{verify, ReplayEvent, Trace};
+use cpx_replay::ReplayEvent;
 use cpx_simpic::guard::PicGuard;
 use cpx_simpic::{Pic1D, SimpicConfig};
 use cpx_sparse::abft::{spgemm_hash_checked, spgemm_spa_checked, spgemm_twopass_checked};
@@ -360,7 +360,7 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
     let scenario = testcases::small_150m_28m(StcVariant::Base);
     let models = model::build_models_with_grid(&scenario, machine, 100.0, &[100, 400, 1600, 6400]);
     let alloc = model::allocate_scenario(&models, budget);
-    let clean = sim::run_coupled(&scenario, &alloc, machine, 20);
+    let clean = sim::run_coupled_with(&scenario, &alloc, machine, 20, None);
     println!(
         "\n=== part 5: coupled recovery policies ({} on {} ranks, clean {:.1}s) ===",
         scenario.name,
@@ -387,8 +387,8 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
                 .with_sdc_policy(policy)
                 .with_checkpoint_interval(10),
         );
-        let (run, log) = run_coupled_resilient_logged(&s, &alloc, machine, 20);
-        replay_log.extend(log.into_iter().map(ReplayEvent::from));
+        let run = sim::run_coupled_with(&s, &alloc, machine, 20, None);
+        replay_log.extend(run.resilience.iter().copied().map(ReplayEvent::from));
         println!(
             "{:>20} {:>9} {:>10} {:>11.1} {:>12.1} {:>10.1}",
             policy.to_string(),
@@ -409,8 +409,8 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
     let s = scenario
         .clone()
         .with_fault(FaultScenario::sdc_only(events).with_abft(false));
-    let (run, log) = run_coupled_resilient_logged(&s, &alloc, machine, 20);
-    replay_log.extend(log.into_iter().map(ReplayEvent::from));
+    let run = sim::run_coupled_with(&s, &alloc, machine, 20, None);
+    replay_log.extend(run.resilience.iter().copied().map(ReplayEvent::from));
     println!(
         "{:>20} {:>9} {:>10} {:>11.1} {:>12.1} {:>10.1}   <- silent corruption",
         "(abft disarmed)",
@@ -422,47 +422,8 @@ fn coupled_policies(machine: &Machine, budget: usize, replay_log: &mut Vec<Repla
     );
 }
 
-struct Args {
-    budget: usize,
-    seed: u64,
-    record: Option<PathBuf>,
-    replay: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: sdc_study [budget] [--seed <u64>] [--record <path>] [--replay <path>]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        budget: 2000,
-        seed: 0,
-        record: None,
-        replay: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--record" => args.record = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--replay" => args.replay = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            s => match s.parse() {
-                Ok(b) => args.budget = b,
-                Err(_) => usage(),
-            },
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
+    let args = common::parse_args("sdc_study");
     let machine = Machine::archer2();
     let mut events: Vec<ReplayEvent> = Vec::new();
 
@@ -474,52 +435,5 @@ fn main() {
 
     println!("\nall SDC study checks passed");
 
-    if let Some(path) = &args.record {
-        let trace = Trace {
-            label: "sdc_study".to_string(),
-            seed: args.seed,
-            world_size: 4,
-            events: events.clone(),
-        };
-        match trace.save(path) {
-            Ok(()) => println!(
-                "recorded {} events to {}",
-                trace.events.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &args.replay {
-        let trace = match Trace::load(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot load {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        if trace.seed != args.seed {
-            eprintln!(
-                "trace {} was recorded with --seed {}, this run used --seed {}",
-                path.display(),
-                trace.seed,
-                args.seed
-            );
-            std::process::exit(1);
-        }
-        match verify(&trace.events, &events) {
-            Ok(()) => println!(
-                "replay ok: {} events match {}",
-                events.len(),
-                path.display()
-            ),
-            Err(d) => {
-                eprintln!("replay DIVERGED from {}: {d}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
+    common::finish_record_replay("sdc_study", &args, 4, events);
 }

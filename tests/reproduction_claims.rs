@@ -176,7 +176,7 @@ fn fig9c_revolution_speedup() {
         let scenario = testcases::large_engine(variant);
         let models = model::build_models_with_grid(&scenario, &m, 1000.0, &grid);
         let alloc = model::allocate_scenario(&models, 40_000);
-        let run = sim::run_coupled(&scenario, &alloc, &m, 20);
+        let run = sim::run_coupled_with(&scenario, &alloc, &m, 20, None);
         assert!(
             run.coupling_overhead < 0.005,
             "coupling overhead {}",
