@@ -17,7 +17,11 @@
 //!   synchronisation collective — its ranks still participate fully in
 //!   the steady-state CU exchanges;
 //! * coupler units run their gather → remap/interpolate → scatter
-//!   pattern against sampled surface ranks of both solver sides.
+//!   pattern against sampled surface ranks of both solver sides;
+//! * an app rank that no CU exchange touches runs the same body every
+//!   iteration, so it carries one `Repeat` over the window; only the CU
+//!   ranks and the surface samples are written out iteration by
+//!   iteration.
 
 use cpx_coupler::layout::MpmdLayout;
 use cpx_coupler::trace::{CouplerKind, CouplerTraceModel, ExchangePhases};
@@ -127,14 +131,124 @@ pub fn coupled_phase_names(scenario: &Scenario) -> Vec<String> {
     names
 }
 
-/// Build the coupled program for `sample_iters` density iterations.
-/// Returns the program, the layout, and the per-app group ids. With
-/// `phased`, every op is labelled with the phase ids of
-/// [`coupled_phase_names`] (free markers; the op stream is otherwise
-/// identical).
+/// One app instance's ops for one density iteration at its allocated
+/// rank count. Message peers are numbered within the instance, and
+/// [`Block::body`] shifts them onto its world ranks, so a block depends
+/// on the instance and its rank count only: the coupled program and its
+/// bare twin share one set, and a shrunk allocation rebuilds only the
+/// block whose rank count changed.
+enum Block {
+    /// One body per rank: MG-CFD's structural step.
+    PerRank(Vec<Vec<Op>>),
+    /// One body every rank runs: SIMPIC's aggregate step.
+    Shared(Vec<Op>),
+}
+
+impl Block {
+    /// The body of the instance's rank `i`, whose rank 0 is world rank
+    /// `start`.
+    fn body(&self, i: usize, start: usize) -> Vec<Op> {
+        let local = match self {
+            Block::PerRank(bodies) => &bodies[i],
+            Block::Shared(body) => body,
+        };
+        local
+            .iter()
+            .map(|op| match *op {
+                Op::Send { dst, bytes, tag } => Op::Send {
+                    dst: start + dst,
+                    bytes,
+                    tag,
+                },
+                Op::Recv { src, tag } => Op::Recv {
+                    src: start + src,
+                    tag,
+                },
+                ref other => other.clone(),
+            })
+            .collect()
+    }
+}
+
+/// The block of app `ai` at `p` ranks. Apps register their groups first,
+/// in app order, so app `ai`'s collective group is `ai`. With `phased`,
+/// each body starts by switching to the app's phase id of
+/// [`coupled_phase_names`].
+fn app_block(scenario: &Scenario, ai: usize, p: usize, machine: &Machine, phased: bool) -> Block {
+    let phase = phased.then_some((1 + ai) as PhaseId);
+    match &scenario.apps[ai].kind {
+        AppKind::MgCfd(cfg) => {
+            let model = MgCfdTraceModel::new(cfg.clone());
+            let ranks: Vec<usize> = (0..p).collect();
+            Block::PerRank(
+                (0..p)
+                    .map(|i| model.step_body(i, p, &ranks, ai, phase))
+                    .collect(),
+            )
+        }
+        AppKind::Simpic(cfg) => {
+            // Two pressure steps per density iteration, measured by
+            // SIMPIC's own standalone run at this rank count.
+            let secs =
+                2.0 * SimpicTraceModel::new(cfg.clone()).per_pressure_step_runtime(p, machine);
+            let step = [
+                Op::ComputeSecs(secs),
+                Op::Collective {
+                    kind: CollectiveKind::Allreduce,
+                    group: ai,
+                    bytes: 8,
+                },
+            ];
+            Block::Shared(phase.map(Op::Phase).into_iter().chain(step).collect())
+        }
+    }
+}
+
+/// Every app's block at its allocated rank count.
+fn app_blocks(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    machine: &Machine,
+    phased: bool,
+) -> Vec<Block> {
+    (0..scenario.apps.len())
+        .map(|ai| app_block(scenario, ai, alloc.app_ranks[ai], machine, phased))
+        .collect()
+}
+
+/// `body` run `iters` times: `Repeat`s of at most `u32::MAX` iterations
+/// each, so no window is truncated.
+fn repeats(body: Vec<Op>, iters: u64) -> Vec<Op> {
+    let max = u64::from(u32::MAX);
+    let rest = (iters % max) as u32;
+    let mut ops: Vec<Op> = (0..iters / max)
+        .map(|_| Op::Repeat {
+            count: u32::MAX,
+            body: body.clone(),
+        })
+        .collect();
+    if rest > 0 {
+        ops.push(Op::Repeat { count: rest, body });
+    }
+    ops
+}
+
+/// Build the coupled program for `sample_iters` density iterations from
+/// `blocks`, the apps' blocks at `alloc`'s rank counts. Returns the
+/// program and the layout. With `phased` (which `blocks` must share),
+/// every op is labelled with the phase ids of [`coupled_phase_names`]
+/// (free markers; the op stream is otherwise identical).
+///
+/// Only the ranks a CU exchange touches differ from one iteration to the
+/// next: each exchanging CU's ranks and its surface samples on both
+/// sides. They are emitted iteration by iteration, and every other app
+/// rank runs its body as one `Repeat` over the window. The DES expands a
+/// `Repeat` lazily, so each rank executes the op stream of a fully
+/// unrolled program.
 fn build_program(
     scenario: &Scenario,
     alloc: &Allocation,
+    blocks: &[Block],
     machine: &Machine,
     sample_iters: u64,
     include_cus: bool,
@@ -153,114 +267,98 @@ fn build_program(
     layout.validate().expect("layout covers world");
 
     let mut program = TraceProgram::new(layout.world_size());
-    let app_groups: Vec<usize> = layout
-        .apps
-        .iter()
-        .map(|r| program.add_group(r.ranks()))
-        .collect();
-
-    // Pre-compute per-instance building blocks.
-    enum Block {
-        /// Full-fidelity per-iteration ops per rank (MG-CFD).
-        Structural(Vec<Vec<Op>>),
-        /// Aggregate per-iteration compute seconds (SIMPIC).
-        Aggregate(f64),
+    for range in &layout.apps {
+        program.add_group(range.ranks());
     }
-    let blocks: Vec<Block> = scenario
-        .apps
+
+    // The CUs that exchange in the window, each with its ranks and its
+    // surface samples on both sides.
+    struct Exchange {
+        model: CouplerTraceModel,
+        ranks: Vec<usize>,
+        a_surface: Vec<usize>,
+        b_surface: Vec<usize>,
+        tag_base: u32,
+        phases: Option<ExchangePhases>,
+    }
+    let cus = if include_cus { &scenario.cus[..] } else { &[] };
+    let exchanges: Vec<Exchange> = cus
         .iter()
         .enumerate()
-        .map(|(ai, app)| {
-            let ranks = layout.apps[ai].ranks();
-            let p = ranks.len();
-            match &app.kind {
-                AppKind::MgCfd(cfg) => {
-                    let model = MgCfdTraceModel::new(cfg.clone());
-                    let phase = phased.then_some((1 + ai) as PhaseId);
-                    let bodies = (0..p)
-                        .map(|i| model.step_body(i, p, &ranks, app_groups[ai], phase))
-                        .collect();
-                    Block::Structural(bodies)
+        .map(|(ci, cu)| {
+            let ranks = layout.cus[ci].ranks();
+            let phases = phased.then(|| {
+                let base = (1 + scenario.apps.len() + 4 * ci) as PhaseId;
+                ExchangePhases {
+                    gather: base,
+                    search: base + 1,
+                    interpolate: base + 2,
+                    scatter: base + 3,
                 }
-                AppKind::Simpic(cfg) => {
-                    let model = SimpicTraceModel::new(cfg.clone());
-                    // Two pressure steps per density iteration, measured
-                    // by SIMPIC's own standalone run at this rank count.
-                    let secs = 2.0 * model.per_pressure_step_runtime(p, machine);
-                    Block::Aggregate(secs)
-                }
+            });
+            Exchange {
+                model: CouplerTraceModel::new(cu.kind, cu.interface_points, cu.interface_points),
+                a_surface: surface_sample(&layout.apps[cu.a].ranks(), ranks.len()),
+                b_surface: surface_sample(&layout.apps[cu.b].ranks(), ranks.len()),
+                ranks,
+                tag_base: (1000 + ci * 4) as u32,
+                phases,
             }
         })
+        .filter(|x| (0..sample_iters).any(|iter| x.model.exchanges_on(iter)))
         .collect();
+    let mut touched = vec![false; layout.world_size()];
+    for x in &exchanges {
+        for &r in x.ranks.iter().chain(&x.a_surface).chain(&x.b_surface) {
+            touched[r] = true;
+        }
+    }
 
-    let cu_models: Vec<CouplerTraceModel> = scenario
-        .cus
-        .iter()
-        .map(|cu| CouplerTraceModel::new(cu.kind, cu.interface_points, cu.interface_points))
-        .collect();
+    // Untouched app ranks run the whole window as `Repeat`s; touched
+    // ones keep their body for the iteration-by-iteration emission.
+    let mut stepped: Vec<(usize, Vec<Op>)> = Vec::new();
+    for (range, block) in layout.apps.iter().zip(blocks) {
+        for (i, r) in (range.start..range.start + range.len).enumerate() {
+            let body = block.body(i, range.start);
+            if touched[r] {
+                stepped.push((r, body));
+            } else {
+                program.rank(r).ops = repeats(body, sample_iters);
+            }
+        }
+    }
+
+    // Only an exchange touches a rank, so without one the program is
+    // complete.
+    if exchanges.is_empty() {
+        return (program, layout);
+    }
 
     // Deferred target-side ops of steady-state (lagged) exchanges.
     let mut deferred: Vec<(usize, Vec<Op>)> = Vec::new();
     for iter in 0..sample_iters {
         // Solver instances advance one density iteration.
-        for ai in 0..scenario.apps.len() {
-            let ranks = layout.apps[ai].ranks();
-            match &blocks[ai] {
-                Block::Structural(bodies) => {
-                    for (i, &r) in ranks.iter().enumerate() {
-                        program.rank(r).ops.extend(bodies[i].iter().cloned());
-                    }
-                }
-                Block::Aggregate(secs) => {
-                    for &r in &ranks {
-                        if phased {
-                            program.rank(r).phase((1 + ai) as PhaseId);
-                        }
-                        program.rank(r).compute_secs(*secs);
-                        program
-                            .rank(r)
-                            .collective(CollectiveKind::Allreduce, app_groups[ai], 8);
-                    }
-                }
-            }
+        for (r, body) in &stepped {
+            program.rank(*r).ops.extend(body.iter().cloned());
         }
         // Coupler exchanges.
-        if include_cus {
-            for (ci, cu) in scenario.cus.iter().enumerate() {
-                let model = &cu_models[ci];
-                if !model.exchanges_on(iter) {
-                    continue;
-                }
-                let cu_ranks = layout.cus[ci].ranks();
-                let a_surface = surface_sample(&layout.apps[cu.a].ranks(), cu_ranks.len());
-                let b_surface = surface_sample(&layout.apps[cu.b].ranks(), cu_ranks.len());
-                let first = iter == 0;
-                // Steady-state couplings are lagged: the target applies
-                // the previous exchange's data, so its receives are
-                // deferred rather than synchronously awaited.
-                let defer = matches!(cu.kind, CouplerKind::Steady { .. });
-                let defer_buf = if defer { Some(&mut deferred) } else { None };
-                let phases = phased.then(|| {
-                    let base = (1 + scenario.apps.len() + 4 * ci) as PhaseId;
-                    ExchangePhases {
-                        gather: base,
-                        search: base + 1,
-                        interpolate: base + 2,
-                        scatter: base + 3,
-                    }
-                });
-                model.emit_exchange(
-                    &mut program,
-                    &cu_ranks,
-                    &a_surface,
-                    &b_surface,
-                    machine,
-                    first,
-                    (1000 + ci * 4) as u32,
-                    defer_buf,
-                    phases,
-                );
-            }
+        for x in exchanges.iter().filter(|x| x.model.exchanges_on(iter)) {
+            // Steady-state couplings are lagged: the target applies the
+            // previous exchange's data, so its receives are deferred
+            // rather than synchronously awaited.
+            let defer = matches!(x.model.kind, CouplerKind::Steady { .. });
+            let defer_buf = if defer { Some(&mut deferred) } else { None };
+            x.model.emit_exchange(
+                &mut program,
+                &x.ranks,
+                &x.a_surface,
+                &x.b_surface,
+                machine,
+                iter == 0,
+                x.tag_base,
+                defer_buf,
+                x.phases,
+            );
         }
     }
 
@@ -270,6 +368,27 @@ fn build_program(
     }
 
     (program, layout)
+}
+
+/// The coupled program of `alloc` with fresh blocks.
+fn coupled(
+    scenario: &Scenario,
+    alloc: &Allocation,
+    machine: &Machine,
+    sample_iters: u64,
+    phased: bool,
+) -> (TraceProgram, MpmdLayout) {
+    assert!(sample_iters >= 1);
+    let blocks = app_blocks(scenario, alloc, machine, phased);
+    build_program(
+        scenario,
+        alloc,
+        &blocks,
+        machine,
+        sample_iters,
+        true,
+        phased,
+    )
 }
 
 /// Execute the coupled virtual run.
@@ -309,7 +428,9 @@ pub fn run_coupled_with(
     noise: Option<(f64, u64)>,
 ) -> CoupledRun {
     assert!(sample_iters >= 1);
-    let (program, layout) = build_program(scenario, alloc, machine, sample_iters, true, false);
+    let mut blocks = app_blocks(scenario, alloc, machine, false);
+    let (program, layout) =
+        build_program(scenario, alloc, &blocks, machine, sample_iters, true, false);
     let mut replayer = Replayer::new(machine.clone());
     if let Some((amp, seed)) = noise {
         replayer = replayer.with_noise(amp, seed);
@@ -324,8 +445,16 @@ pub fn run_coupled_with(
         .collect();
     let total_runtime = out.makespan() * scale;
 
-    // Coupling overhead: rerun without CU exchanges.
-    let (bare, _) = build_program(scenario, alloc, machine, sample_iters, false, false);
+    // Coupling overhead: rerun without CU exchanges, from the same blocks.
+    let (bare, _) = build_program(
+        scenario,
+        alloc,
+        &blocks,
+        machine,
+        sample_iters,
+        false,
+        false,
+    );
     let bare_out = replayer.run(&bare).expect("bare program replays");
     let bare_total = bare_out.makespan() * scale;
     let coupling_overhead = ((total_runtime - bare_total) / total_runtime).max(0.0);
@@ -409,7 +538,17 @@ pub fn run_coupled_with(
             app: fault.crash_app,
             ranks_after: shrunk.app_ranks[fault.crash_app],
         });
-        let (program, _) = build_program(scenario, &shrunk, machine, sample_iters, true, false);
+        let app = fault.crash_app;
+        blocks[app] = app_block(scenario, app, shrunk.app_ranks[app], machine, false);
+        let (program, _) = build_program(
+            scenario,
+            &shrunk,
+            &blocks,
+            machine,
+            sample_iters,
+            true,
+            false,
+        );
         let degraded = replayer.run(&program).expect("shrunk program replays");
         let t_iter_degraded = degraded.makespan() / sample_iters as f64;
 
@@ -522,9 +661,8 @@ pub fn trace_coupled(
     machine: &Machine,
     sample_iters: u64,
 ) -> (Vec<String>, ReplayOutcome, TraceSession) {
-    assert!(sample_iters >= 1);
     let names = coupled_phase_names(scenario);
-    let (program, _) = build_program(scenario, alloc, machine, sample_iters, true, true);
+    let (program, _) = coupled(scenario, alloc, machine, sample_iters, true);
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let (out, session) = Replayer::new(machine.clone())
         .track_phases(names.len())
@@ -603,8 +741,7 @@ pub fn coupled_program(
     machine: &Machine,
     sample_iters: u64,
 ) -> (TraceProgram, MpmdLayout) {
-    assert!(sample_iters >= 1);
-    build_program(scenario, alloc, machine, sample_iters, true, false)
+    coupled(scenario, alloc, machine, sample_iters, false)
 }
 
 /// As [`coupled_program`] but with every op labelled with the phase ids
@@ -619,8 +756,7 @@ pub fn coupled_program_phased(
     machine: &Machine,
     sample_iters: u64,
 ) -> (TraceProgram, MpmdLayout) {
-    assert!(sample_iters >= 1);
-    build_program(scenario, alloc, machine, sample_iters, true, true)
+    coupled(scenario, alloc, machine, sample_iters, true)
 }
 
 /// Cost of `passes` bandwidth-bound passes over every solver rank's
@@ -685,6 +821,166 @@ mod tests {
         let models = build_models_with_grid(&scenario, &machine(), 20.0, &[100, 400, 1600, 6400]);
         let alloc = allocate_scenario(&models, budget);
         (scenario, alloc)
+    }
+
+    /// The ranks a CU exchange touches under `alloc`: every CU's ranks
+    /// and its surface samples on both sides.
+    fn touched_ranks(scenario: &Scenario, layout: &MpmdLayout) -> Vec<bool> {
+        let mut touched = vec![false; layout.world_size()];
+        for (ci, cu) in scenario.cus.iter().enumerate() {
+            let ranks = layout.cus[ci].ranks();
+            let a = surface_sample(&layout.apps[cu.a].ranks(), ranks.len());
+            let b = surface_sample(&layout.apps[cu.b].ranks(), ranks.len());
+            for r in ranks.into_iter().chain(a).chain(b) {
+                touched[r] = true;
+            }
+        }
+        touched
+    }
+
+    /// Every number of a replay outcome, floats as bits.
+    fn outcome_bits(out: &ReplayOutcome) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&out.finish),
+            bits(&out.compute_time),
+            bits(&out.comm_time),
+            out.messages,
+            out.bytes,
+        )
+    }
+
+    #[test]
+    fn compressed_program_replays_like_its_expansion() {
+        use cpx_machine::{scale_compute_by_phase, TraceStats};
+        let m = machine();
+        for budget in [310, 5000] {
+            let (scenario, alloc) = small_alloc(budget);
+            for phased in [false, true] {
+                let blocks = app_blocks(&scenario, &alloc, &m, phased);
+                for iters in [1, 3, 20, 21] {
+                    for include_cus in [false, true] {
+                        let case = format!(
+                            "budget {budget}, {iters} iters, phased {phased}, CUs {include_cus}"
+                        );
+                        let (program, layout) = build_program(
+                            &scenario,
+                            &alloc,
+                            &blocks,
+                            &m,
+                            iters,
+                            include_cus,
+                            phased,
+                        );
+                        let touched = if include_cus {
+                            touched_ranks(&scenario, &layout)
+                        } else {
+                            vec![false; layout.world_size()]
+                        };
+                        for range in &layout.apps {
+                            for r in range.ranks() {
+                                let ops = &program.traces[r].ops;
+                                if touched[r] {
+                                    assert!(
+                                        !ops.iter().any(|op| matches!(op, Op::Repeat { .. })),
+                                        "{case}: surface rank {r} holds a Repeat"
+                                    );
+                                } else {
+                                    assert!(
+                                        matches!(ops[..], [Op::Repeat { count, .. }] if u64::from(count) == iters),
+                                        "{case}: rank {r} is not one Repeat of the window"
+                                    );
+                                }
+                            }
+                        }
+                        for range in &layout.cus {
+                            for r in range.ranks() {
+                                let ops = &program.traces[r].ops;
+                                assert!(
+                                    !ops.iter().any(|op| matches!(op, Op::Repeat { .. })),
+                                    "{case}: CU rank {r} holds a Repeat"
+                                );
+                            }
+                        }
+
+                        let expanded = scale_compute_by_phase(&program, &m, &[]);
+                        assert_eq!(
+                            TraceStats::of(&program),
+                            TraceStats::of(&expanded),
+                            "{case}"
+                        );
+                        for replayer in [
+                            Replayer::new(m.clone()),
+                            Replayer::new(m.clone()).with_noise(0.04, 17),
+                        ] {
+                            let (out, log) = replayer.run_logged(&program).unwrap();
+                            let (out_x, log_x) = replayer.run_logged(&expanded).unwrap();
+                            assert_eq!(outcome_bits(&out), outcome_bits(&out_x), "{case}");
+                            assert!(log == log_x, "{case}: event streams differ");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_past_u32_max_iterations_splits_over_repeats() {
+        let m = machine();
+        let (scenario, alloc) = small_alloc(310);
+        let blocks = app_blocks(&scenario, &alloc, &m, false);
+        let iters = u64::from(u32::MAX) + 1;
+        let (program, layout) = build_program(&scenario, &alloc, &blocks, &m, iters, false, false);
+        for (range, block) in layout.apps.iter().zip(&blocks) {
+            for (i, r) in range.ranks().into_iter().enumerate() {
+                let body = block.body(i, range.start);
+                let window = [
+                    Op::Repeat {
+                        count: u32::MAX,
+                        body: body.clone(),
+                    },
+                    Op::Repeat { count: 1, body },
+                ];
+                assert_eq!(program.traces[r].ops, window, "rank {r}");
+            }
+        }
+        for range in &layout.cus {
+            for r in range.ranks() {
+                assert!(program.traces[r].ops.is_empty(), "CU rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn what_ifs_on_the_coupled_graph_match_rescaled_replays() {
+        use cpx_machine::{build_task_graph, scale_compute_by_phase, validate_against_des};
+        use cpx_obs::Rescale;
+        let m = machine();
+        let (scenario, alloc) = small_alloc(310);
+        let names = coupled_phase_names(&scenario);
+        let (program, _) = coupled_program_phased(&scenario, &alloc, &m, 3);
+        let graph = build_task_graph(&program, &m, &names).unwrap();
+        let (_, log) = Replayer::new(m.clone()).run_logged(&program).unwrap();
+        validate_against_des(&graph, &graph.schedule(&Rescale::none()).unwrap(), &log).unwrap();
+        for phase in 0..names.len() {
+            for factor in [0.5, 1.5, 4.0] {
+                let mut factors = vec![1.0; names.len()];
+                factors[phase] = factor;
+                let r = Rescale {
+                    compute_by_phase: factors.clone(),
+                    transfer_by_tag: vec![],
+                };
+                let what_if = graph.what_if_makespan(&r).unwrap();
+                let scheduled = graph.schedule(&r).unwrap().makespan;
+                let replayed = Replayer::new(m.clone())
+                    .run(&scale_compute_by_phase(&program, &m, &factors))
+                    .unwrap()
+                    .makespan();
+                let case = format!("phase {phase} ({}) x{factor}", names[phase]);
+                assert_eq!(what_if.to_bits(), scheduled.to_bits(), "{case}");
+                assert_eq!(what_if.to_bits(), replayed.to_bits(), "{case}");
+            }
+        }
     }
 
     #[test]

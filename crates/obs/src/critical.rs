@@ -21,7 +21,10 @@
 //! * [`TaskGraph::schedule`] — one sweep over the plan that replays the
 //!   discrete-event semantics of `cpx_machine::des` *exactly* (same
 //!   float operations, in the replayer's own run-to-block order), so the
-//!   baseline makespan bit-matches the replayer's;
+//!   baseline makespan bit-matches the replayer's. Like the replayer, the
+//!   sweep keeps a clock per rank, plus the start of each send for the
+//!   receive that takes its message, and writes each node's times by id
+//!   as it reaches the node;
 //! * [`TaskGraph::critical_path`] — the backward walk along binding
 //!   constraints from the finishing node, yielding a gap-free chain of
 //!   segments (compute, send overhead, wire transfer, collective) that
@@ -33,7 +36,9 @@
 //! [`Rescale`]: scale any phase's compute cost (a hypothetical kernel
 //! optimisation) or any tag range's transfer time (a hypothetical
 //! interconnect/coupler change) and the new makespan — hence the
-//! end-to-end speedup — falls out without re-deriving the program.
+//! end-to-end speedup — falls out without re-deriving the program. A
+//! what-if writes no per-node time: it keeps the rank clocks, the send
+//! starts and the running makespan.
 
 use std::convert::Infallible;
 use std::ops::Deref;
@@ -80,6 +85,8 @@ pub struct Node {
 pub struct Sent {
     /// Position of the send.
     pos: Link,
+    /// Number of sends placed before it.
+    ordinal: Link,
     /// Seconds on the wire.
     wire: f64,
 }
@@ -97,9 +104,8 @@ pub struct Plan {
     pub phase_names: Vec<String>,
     /// Node id at each position.
     id: Vec<Link>,
-    /// Position of the node's rank's previous node ([`NONE`] for its
-    /// first).
-    prev: Vec<Link>,
+    /// The node's rank.
+    rank: Vec<u32>,
     step: Vec<Step>,
     /// A compute node's phase, a send's tag, a receive's send position,
     /// a member's meet.
@@ -107,9 +113,11 @@ pub struct Plan {
     /// The unscaled cost: a rigid node's duration, a receive's wire
     /// time, 0 for a member.
     cost: Vec<f64>,
-    /// Per receive, in position order: its send's `prev` position and
-    /// tag, so the sweep reads them in stride.
+    /// Per receive, in position order: its send's ordinal and tag, so
+    /// the sweep reads them in stride.
     sent: Vec<(Link, u32)>,
+    /// Number of sends.
+    sends: usize,
     meets: Vec<Meet>,
 }
 
@@ -156,7 +164,8 @@ impl std::error::Error for GraphError {}
 /// Places the nodes of a [`TaskGraph`] in an order the sweep can follow
 /// (see the module docs). A node's id is its place in its rank's
 /// program order, after every lower rank's nodes, whatever order the
-/// ranks are interleaved in.
+/// ranks are interleaved in. Placing a node on a rank outside the graph
+/// panics.
 ///
 /// ```
 /// use cpx_obs::{Rescale, TaskGraphBuilder};
@@ -203,9 +212,6 @@ pub struct TaskGraphBuilder {
     /// The plan so far, with `nodes` in position order until
     /// [`TaskGraphBuilder::finish`] numbers them.
     plan: Plan,
-    /// Per rank: the position of its last node ([`NONE`] before its
-    /// first).
-    last: Vec<Link>,
 }
 
 impl TaskGraphBuilder {
@@ -217,21 +223,21 @@ impl TaskGraphBuilder {
                 phase_names,
                 ..Plan::default()
             },
-            last: vec![NONE; n_ranks],
         }
     }
 
     /// Position of the next node. Past [`NONE`] it wraps, and
     /// [`TaskGraphBuilder::finish`] rejects the graph.
     fn next(&self) -> Link {
-        self.plan.prev.len() as Link
+        self.plan.step.len() as Link
     }
 
     /// Place a node on `rank`, after the rank's last node.
     fn place(&mut self, rank: usize, phase: u16, step: Step, key: u32, cost: f64) {
+        assert!(rank < self.plan.n_ranks, "rank {rank} outside the graph");
         let pos = self.next();
         let plan = &mut self.plan;
-        plan.prev.push(std::mem::replace(&mut self.last[rank], pos));
+        plan.rank.push(rank as u32);
         plan.step.push(step);
         plan.key.push(key);
         plan.cost.push(cost);
@@ -253,14 +259,15 @@ impl TaskGraphBuilder {
     pub fn send(&mut self, rank: usize, phase: u16, overhead: f64, tag: u32, wire: f64) -> Sent {
         let pos = self.next();
         self.place(rank, phase, Step::Send, tag, overhead);
-        Sent { pos, wire }
+        let ordinal = self.plan.sends as Link;
+        self.plan.sends += 1;
+        Sent { pos, ordinal, wire }
     }
 
     /// Place the receive of `msg` on `rank`.
     pub fn recv(&mut self, rank: usize, phase: u16, msg: Sent) {
-        let send = msg.pos as usize;
-        let sent = (self.plan.prev[send], self.plan.key[send]);
-        self.plan.sent.push(sent);
+        let tag = self.plan.key[msg.pos as usize];
+        self.plan.sent.push((msg.ordinal, tag));
         self.place(rank, phase, Step::Recv, msg.pos, msg.wire);
     }
 
@@ -412,13 +419,6 @@ pub struct Schedule {
     pub rescale: Rescale,
 }
 
-/// One sweep's times, by plan position.
-struct Sweep {
-    end: Vec<f64>,
-    meet_end: Vec<f64>,
-    makespan: f64,
-}
-
 /// How a critical-path segment spends its time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegClass {
@@ -531,31 +531,41 @@ impl Plan {
         let meet = &self.meets[m];
         meet.first as usize..(meet.first + meet.size) as usize
     }
+
+    /// Position of the node before position `k`'s on its rank ([`NONE`]
+    /// for the rank's first). Ids are rank-major, so that is the node one
+    /// id lower, if it runs on the same rank.
+    fn prev(&self, k: usize) -> Link {
+        let id = self.id[k] as usize;
+        match id.checked_sub(1).map(|i| self.nodes[i]) {
+            Some(node) if node.rank == self.rank[k] => node.pos,
+            _ => NONE,
+        }
+    }
 }
 
 impl TaskGraph {
-    /// Every node's times under `rescale`: one sweep over the plan.
+    /// Every node's times under `rescale`: one sweep over the plan, which
+    /// writes each node's start and end by id as it reaches the node.
     /// Every graph the builder can make can be scheduled, so this never
     /// fails.
     pub fn schedule(&self, rescale: &Rescale) -> Result<Schedule, Infallible> {
-        let Sweep {
-            end: by_pos,
-            meet_end,
-            makespan,
-        } = self.sweep(rescale);
-        let n = by_pos.len();
-        let mut end = vec![0.0f64; n];
-        for (&i, &e) in self.id.iter().zip(&by_pos) {
-            end[i as usize] = e;
-        }
-        drop(by_pos);
-        // A node starts when its `prev` ends, or at 0.
+        let n = self.nodes.len();
         let mut start = vec![0.0f64; n];
-        for (&i, &p) in self.id.iter().zip(&self.prev) {
-            if p != NONE {
-                start[i as usize] = end[self.id[p as usize] as usize];
-            }
-        }
+        let mut end = vec![0.0f64; n];
+        let makespan = self.sweep(rescale, |k, s, e| {
+            let i = self.id[k] as usize;
+            start[i] = s;
+            end[i] = e;
+        });
+        // Every member leaves at its meet's exit.
+        let meet_end = (0..self.meets.len())
+            .map(|m| {
+                self.members(m)
+                    .next()
+                    .map_or(0.0, |k| end[self.id[k] as usize])
+            })
+            .collect();
         // Lowest id on ties; node 0 when nothing ends after time 0.
         let sink = (n > 0).then(|| {
             end.iter()
@@ -576,64 +586,88 @@ impl TaskGraph {
     /// the same sweep as [`TaskGraph::schedule`], keeping only the
     /// makespan. Never fails.
     pub fn what_if_makespan(&self, rescale: &Rescale) -> Result<f64, Infallible> {
-        Ok(self.sweep(rescale).makespan)
+        Ok(self.sweep(rescale, |_, _, _| {}))
     }
 
-    /// Every node's end time under `rescale`, by plan position, in one
-    /// pass over the plan. This is the only place the replayer's float
-    /// expressions are evaluated: a rigid node ends at `start + cost`, a
-    /// receive at `start + (arrival - start).max(0.0)` with the arrival
-    /// computed from the send's start, and a meet's members all leave at
-    /// the `max` of their entries, folded from 0.0 in rank order, plus
-    /// the meet's cost. A node reads only earlier positions, whose times
-    /// are final, so each expression sees the DES's operands.
-    fn sweep(&self, rescale: &Rescale) -> Sweep {
-        let n = self.id.len();
-        let mut end: Vec<f64> = Vec::with_capacity(n);
-        let mut meet_end = vec![0.0f64; self.meets.len()];
-        let mut makespan = 0.0f64;
+    /// One pass over the plan under `rescale`, handing `visit` each
+    /// node's position, start and end as it reaches the node, and
+    /// returning the makespan. It keeps one clock per rank, the end of
+    /// the rank's last node, which is when its next node starts, and the
+    /// start of each send, by ordinal. This is the only place the
+    /// replayer's float expressions are evaluated: a rigid node ends at
+    /// `start + cost × factor`, a receive at `start + (arrival -
+    /// start).max(0.0)` with the arrival computed from the send's start,
+    /// and a meet's members all leave at the `max` of their entries,
+    /// folded from 0.0 in rank order, plus the meet's cost. A node reads
+    /// only earlier positions, whose times are final, so each expression
+    /// sees the DES's operands.
+    fn sweep(&self, rescale: &Rescale, mut visit: impl FnMut(usize, f64, f64)) -> f64 {
+        let n = self.step.len();
+        let (rank, step, key, cost) = (
+            &self.rank[..n],
+            &self.step[..n],
+            &self.key[..n],
+            &self.cost[..n],
+        );
+        let mut clock = vec![0.0f64; self.n_ranks];
+        let mut send_start = vec![0.0f64; self.sends];
+        let mut sends = 0;
         let mut sent = self.sent.iter();
-        // A node starts when its `prev` ends, or at 0.
-        let start = |end: &[f64], p: Link| if p == NONE { 0.0 } else { end[p as usize] };
-        while end.len() < n {
-            let k = end.len();
-            let s = start(&end, self.prev[k]);
-            let e = match self.step[k] {
-                Step::Compute | Step::Send => {
-                    let e = s + self.scaled_cost(k, rescale);
-                    end.push(e);
-                    e
+        let mut makespan = 0.0f64;
+        // The rank of the last node swept, and its clock: a rank's nodes
+        // run in stretches, so its clock stays out of `clock` (and off
+        // the store-to-load path) until another rank's node comes.
+        let (mut cur, mut s) = (0, 0.0f64);
+        let mut k = 0;
+        while k < n {
+            let r = rank[k] as usize;
+            if r != cur {
+                clock[cur] = s;
+                (cur, s) = (r, clock[r]);
+            }
+            let e = match step[k] {
+                Step::Compute => s + cost[k] * rescale.compute_factor(key[k] as u16),
+                // The send overhead is never rescaled.
+                Step::Send => {
+                    send_start[sends] = s;
+                    sends += 1;
+                    s + cost[k]
                 }
                 Step::Recv => {
-                    // `scaled_cost`'s product, with the send's `prev`
-                    // and tag read in stride.
-                    let &(from, tag) = sent.next().expect("one entry per receive");
-                    let arrival = start(&end, from) + self.cost[k] * rescale.transfer_factor(tag);
-                    let e = s + (arrival - s).max(0.0);
-                    end.push(e);
-                    e
+                    let &(send, tag) = sent.next().expect("one entry per receive");
+                    let arrival =
+                        send_start[send as usize] + cost[k] * rescale.transfer_factor(tag);
+                    s + (arrival - s).max(0.0)
                 }
                 Step::Meet => {
-                    let m = self.key[k] as usize;
+                    clock[cur] = s;
+                    let m = key[k] as usize;
                     let block = self.members(m);
-                    let base = self.prev[block.clone()]
+                    let base = rank[block.clone()]
                         .iter()
-                        .fold(0.0f64, |b, &p| b.max(start(&end, p)));
+                        .fold(0.0f64, |b, &r| b.max(clock[r as usize]));
                     let exit = base + self.meets[m].cost;
-                    meet_end[m] = exit;
-                    end.resize(block.end, exit);
-                    exit
+                    for p in block.clone() {
+                        let r = rank[p] as usize;
+                        visit(p, clock[r], exit);
+                        clock[r] = exit;
+                    }
+                    if exit > makespan {
+                        makespan = exit;
+                    }
+                    s = clock[cur];
+                    k = block.end;
+                    continue;
                 }
             };
+            visit(k, s, e);
+            s = e;
             if e > makespan {
                 makespan = e;
             }
+            k += 1;
         }
-        Sweep {
-            end,
-            meet_end,
-            makespan,
-        }
+        makespan
     }
 
     /// Extract the critical path of `sched`, a schedule of this graph,
@@ -657,7 +691,7 @@ impl TaskGraph {
                     t1: e,
                 })
             };
-            cur = self.prev[k];
+            cur = self.prev(k);
             match self.step[k] {
                 Step::Compute if e > s => push(rank, phase, SegClass::Compute, "compute", s),
                 Step::Send if e > s => push(rank, phase, SegClass::Comm, "send", s),
@@ -678,7 +712,7 @@ impl TaskGraph {
                             "transfer",
                             start(send),
                         );
-                        cur = self.prev[send];
+                        cur = self.prev(send);
                     }
                 }
                 Step::Meet => {
@@ -693,7 +727,7 @@ impl TaskGraph {
                         let label = self.meets[m].label;
                         push(det_node.rank, det_node.phase, SegClass::Comm, label, base);
                     }
-                    cur = self.prev[det];
+                    cur = self.prev(det);
                 }
             }
         }
@@ -734,7 +768,7 @@ impl TaskGraph {
                             .fold(f64::INFINITY, f64::min);
                         let entry_latest = exit - self.meets[m].cost;
                         for p in block {
-                            tighten(&mut latest, self.prev[p], entry_latest);
+                            tighten(&mut latest, self.prev(p), entry_latest);
                         }
                     }
                 }
@@ -742,13 +776,13 @@ impl TaskGraph {
                     // Elastic: the predecessor may run right up to this
                     // node's latest end; the sender is constrained
                     // through the wire.
-                    tighten(&mut latest, self.prev[k], here);
+                    tighten(&mut latest, self.prev(k), here);
                     let send = self.key[k];
                     let bound = here - self.scaled_cost(k, r) + self.scaled_cost(send as usize, r);
                     tighten(&mut latest, send, bound);
                 }
                 Step::Compute | Step::Send => {
-                    tighten(&mut latest, self.prev[k], here - self.scaled_cost(k, r));
+                    tighten(&mut latest, self.prev(k), here - self.scaled_cost(k, r));
                 }
             }
         }
@@ -1086,6 +1120,13 @@ mod tests {
         let path = g.critical_path(&s);
         let ranks: Vec<usize> = path.segments.iter().map(|x| x.rank).collect();
         assert_eq!(ranks, [1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 outside the graph")]
+    fn a_node_outside_the_graph_is_refused() {
+        let mut b = TaskGraphBuilder::new(2, vec![]);
+        b.compute(2, 0, 1.0);
     }
 
     #[test]
