@@ -24,8 +24,7 @@ fn main() {
     let alloc = model::allocate_scenario(&models, 1200);
     let sample_iters = 8;
     let (names, outcome, session) = sim::trace_coupled(&scenario, &alloc, &machine, sample_iters);
-    let breakdown = outcome.phases.as_ref().expect("tracked phases");
-    let profile = PhaseProfile::coupled(&scenario, &names, breakdown);
+    let profile = PhaseProfile::coupled(&scenario, &names, &outcome.phases);
     let stats = phase_stats(&session);
 
     let shares = profile.shares();

@@ -47,9 +47,9 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// Profile from a tracked replay: one row per phase id, named by
-    /// `names` (ids beyond the table fall back to `phase N`). Phases
-    /// that carried no time are dropped.
+    /// Profile from a replay's phase breakdown: one row per phase id,
+    /// named by `names` (ids beyond the table fall back to `phase N`).
+    /// Phases that carried no time are dropped.
     pub fn from_breakdown(
         title: impl Into<String>,
         names: &[&str],

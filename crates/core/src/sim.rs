@@ -646,15 +646,15 @@ pub fn run_coupled_with(
 }
 
 /// Replay the coupled program with full observability: every op is
-/// labelled with the phase ids of [`coupled_phase_names`], the replay
-/// tracks the per-phase compute/comm breakdown, and each rank's
-/// phase-segment timeline is recorded as a [`TraceSession`] for the
-/// Chrome-trace / flamegraph exporters. Phase markers are free in the
-/// replayer, so timings are identical to the noise-free
-/// [`run_coupled_with`]'s program.
+/// labelled with the phase ids of [`coupled_phase_names`], so the
+/// replay's phase breakdown attributes time per app and per CU stage,
+/// and each rank's phase-segment timeline is recorded as a
+/// [`TraceSession`] for the Chrome-trace / flamegraph exporters. Phase
+/// markers are free in the replayer, so timings are identical to the
+/// noise-free [`run_coupled_with`]'s program.
 ///
 /// Returns `(phase_names, outcome, session)`; `outcome.phases` is
-/// always populated.
+/// indexed by the ids of `phase_names`.
 pub fn trace_coupled(
     scenario: &Scenario,
     alloc: &Allocation,
@@ -665,7 +665,6 @@ pub fn trace_coupled(
     let (program, _) = coupled(scenario, alloc, machine, sample_iters, true);
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
     let (out, session) = Replayer::new(machine.clone())
-        .track_phases(names.len())
         .run_traced(&program, &name_refs)
         .expect("phased coupled program replays");
     (names, out, session)
@@ -838,16 +837,17 @@ mod tests {
         touched
     }
 
-    /// Every number of a replay outcome, floats as bits.
-    fn outcome_bits(out: &ReplayOutcome) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        (
-            bits(&out.finish),
-            bits(&out.compute_time),
-            bits(&out.comm_time),
-            out.messages,
-            out.bytes,
-        )
+    /// Every number of a replay outcome, floats as bits: the finish
+    /// times, then each phase row's length and values, then the counts.
+    fn outcome_bits(out: &ReplayOutcome) -> Vec<u64> {
+        let rows = out.phases.compute.iter().chain(&out.phases.comm);
+        let mut bits: Vec<u64> = out.finish.iter().map(|x| x.to_bits()).collect();
+        for row in rows {
+            bits.push(row.len() as u64);
+            bits.extend(row.iter().map(|x| x.to_bits()));
+        }
+        bits.extend([out.messages, out.bytes]);
+        bits
     }
 
     #[test]
@@ -1068,7 +1068,8 @@ mod tests {
             names.len(),
             1 + scenario.apps.len() + 4 * scenario.cus.len()
         );
-        let phases = out.phases.as_ref().expect("tracked");
+        let phases = &out.phases;
+        assert_eq!(phases.compute.len(), names.len());
         // Every app and every CU stage carries time (steady CUs search
         // only on the first exchange, but sample 20 covers it).
         for (id, name) in names.iter().enumerate().skip(1) {

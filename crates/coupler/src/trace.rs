@@ -10,11 +10,11 @@
 
 use cpx_machine::{KernelCost, Machine, Op, PhaseId, Replayer, TraceProgram};
 
-/// Phase ids labelling the four stages of a CU exchange when the
-/// replay is traced ([`cpx_machine::Replayer::run_traced`] /
-/// `track_phases`). The caller picks the ids; ranks left in one of
-/// these phases should be switched back to their own phase id after
-/// the exchange.
+/// Phase ids labelling the four stages of a CU exchange, so a replay's
+/// phase breakdown and [`cpx_machine::Replayer::run_traced`]'s spans
+/// attribute time to each stage. The caller picks the ids; ranks left
+/// in one of these phases should be switched back to their own phase id
+/// after the exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExchangePhases {
     /// Donor-side pack/send and CU-side receive.
@@ -374,12 +374,13 @@ mod tests {
         model.emit_exchange(&mut phased, &cu, &a, &b, &m, true, 700, None, Some(ph));
         assert!(phased.validate().is_ok());
         let t0 = Replayer::new(m.clone()).run(&plain).unwrap().makespan();
-        let out = Replayer::new(m).track_phases(5).run(&phased).unwrap();
+        let out = Replayer::new(m).run(&phased).unwrap();
         // Phase markers are free; splitting the remap+interp compute
         // can only move the makespan by float rounding.
         let t1 = out.makespan();
         assert!((t0 - t1).abs() <= 1e-12 * t0, "plain {t0} vs phased {t1}");
-        let breakdown = out.phases.unwrap();
+        let breakdown = out.phases;
+        assert_eq!(breakdown.compute.len(), 5);
         for (id, name) in [
             (1, "gather"),
             (2, "search"),

@@ -99,58 +99,6 @@ impl Sum for KernelCost {
     }
 }
 
-/// A running tally of kernel work, used by the numerics crates to report
-/// what they actually did (e.g. FLOPs per AMG V-cycle) so that trace
-/// generation is grounded in measured operation counts rather than
-/// hand-waved estimates.
-#[derive(Debug, Clone, Default)]
-pub struct WorkCounter {
-    total: KernelCost,
-    phases: Vec<(String, KernelCost)>,
-}
-
-impl WorkCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        WorkCounter::default()
-    }
-
-    /// Record `cost` against phase `name` (phases accumulate).
-    pub fn record(&mut self, name: &str, cost: KernelCost) {
-        self.total += cost;
-        if let Some((_, c)) = self.phases.iter_mut().find(|(n, _)| n == name) {
-            *c += cost;
-        } else {
-            self.phases.push((name.to_string(), cost));
-        }
-    }
-
-    /// Total work across all phases.
-    pub fn total(&self) -> KernelCost {
-        self.total
-    }
-
-    /// Work recorded for `name`, zero if absent.
-    pub fn phase(&self, name: &str) -> KernelCost {
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or_default()
-    }
-
-    /// All phases in insertion order.
-    pub fn phases(&self) -> &[(String, KernelCost)] {
-        &self.phases
-    }
-
-    /// Reset the counter.
-    pub fn clear(&mut self) {
-        self.total = KernelCost::zero();
-        self.phases.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,21 +122,6 @@ mod tests {
         assert_eq!(KernelCost::flops(8.0).intensity(), f64::INFINITY);
         assert_eq!(KernelCost::bytes(8.0).intensity(), 0.0);
         assert!((KernelCost::new(8.0, 4.0).intensity() - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn work_counter_accumulates_per_phase() {
-        let mut w = WorkCounter::new();
-        w.record("spmv", KernelCost::new(100.0, 800.0));
-        w.record("spmv", KernelCost::new(100.0, 800.0));
-        w.record("dot", KernelCost::new(10.0, 80.0));
-        assert_eq!(w.phase("spmv"), KernelCost::new(200.0, 1600.0));
-        assert_eq!(w.phase("dot"), KernelCost::new(10.0, 80.0));
-        assert_eq!(w.phase("missing"), KernelCost::zero());
-        assert_eq!(w.total(), KernelCost::new(210.0, 1680.0));
-        assert_eq!(w.phases().len(), 2);
-        w.clear();
-        assert_eq!(w.total(), KernelCost::zero());
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! ranks and millions of ops replay in well under a second. Replay is
 //! fully deterministic.
 //!
+//! Every replay returns each rank's finish time, the message and byte
+//! counts, and a [`PhaseBreakdown`]: each cost the walk charges (compute,
+//! send overhead, receive wait, collective wait) is attributed to the
+//! phase its rank is in, so a program without `Phase` markers gets one
+//! phase that holds all of its time.
+//!
 //! This walk is the only place run-to-block order is decided. It takes
 //! one observer, told about every op as the walk executes it: a plain
 //! replay has none, [`Replayer::run_logged`] keeps an event log,
@@ -129,8 +135,12 @@ pub struct DesEvent {
     pub kind: DesEventKind,
 }
 
-/// Per-phase, per-rank time accounting (enabled via
-/// [`Replayer::track_phases`]).
+/// Where each rank's virtual time went, by phase. Row `p` exists for
+/// every phase id from 0 to the program's highest [`Op::Phase`] id
+/// (`Repeat` bodies included). It is rank-long once some rank enters
+/// phase `p`, phase 0 always, and empty otherwise; the accessors read an
+/// empty row as 0.0. Summed over phases, a rank's compute + comm is its
+/// finish time, up to float rounding.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseBreakdown {
     /// `compute[phase][rank]` — seconds of local compute attributed to
@@ -160,6 +170,35 @@ impl PhaseBreakdown {
     pub fn total_comm(&self, phase: usize) -> f64 {
         self.comm[phase].iter().sum()
     }
+
+    /// Give `phase` rank-long rows if it has none yet, so only the
+    /// phases a rank enters cost memory.
+    fn enter(&mut self, phase: PhaseId, n_ranks: usize) {
+        let p = phase as usize;
+        if self.compute[p].is_empty() {
+            self.compute[p] = vec![0.0; n_ranks];
+            self.comm[p] = vec![0.0; n_ranks];
+        }
+    }
+}
+
+/// One more than the highest [`Op::Phase`] id of `program`, read from its
+/// unexpanded op slots (`Repeat` bodies once each); 1 without markers.
+fn phase_count(program: &TraceProgram) -> usize {
+    program
+        .traces
+        .iter()
+        .flat_map(|t| &t.ops)
+        .flat_map(|op| match op {
+            Op::Repeat { body, .. } => body.as_slice(),
+            op => std::slice::from_ref(op),
+        })
+        .filter_map(|op| match *op {
+            Op::Phase(p) => Some(p as usize + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1)
 }
 
 /// Result of a successful replay.
@@ -167,16 +206,12 @@ impl PhaseBreakdown {
 pub struct ReplayOutcome {
     /// Virtual finish time of each rank.
     pub finish: Vec<f64>,
-    /// Seconds each rank spent in local compute.
-    pub compute_time: Vec<f64>,
-    /// Seconds each rank spent waiting on communication.
-    pub comm_time: Vec<f64>,
     /// Number of point-to-point messages delivered.
     pub messages: u64,
     /// Total point-to-point payload bytes.
     pub bytes: u64,
-    /// Optional per-phase accounting.
-    pub phases: Option<PhaseBreakdown>,
+    /// Each rank's compute and communication time, by phase.
+    pub phases: PhaseBreakdown,
 }
 
 impl ReplayOutcome {
@@ -419,11 +454,10 @@ impl Cursor {
 }
 
 /// The discrete-event replayer. Construct with a machine, optionally
-/// enable phase tracking and system noise, then call [`Replayer::run`].
+/// enable system noise, then call [`Replayer::run`].
 #[derive(Debug, Clone)]
 pub struct Replayer {
     machine: Machine,
-    n_phases: usize,
     /// Optional `(amplitude, seed)` system-noise model.
     noise: Option<(f64, u64)>,
 }
@@ -433,15 +467,8 @@ impl Replayer {
     pub fn new(machine: Machine) -> Self {
         Replayer {
             machine,
-            n_phases: 0,
             noise: None,
         }
-    }
-
-    /// Enable per-phase accounting for phase ids `0..n_phases`.
-    pub fn track_phases(mut self, n_phases: usize) -> Self {
-        self.n_phases = n_phases;
-        self
     }
 
     /// Enable deterministic system noise: every compute op's duration
@@ -460,12 +487,8 @@ impl Replayer {
         self
     }
 
-    /// The machine being modelled.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// Replay `program`, returning per-rank timings.
+    /// Replay `program`, returning per-rank timings and their phase
+    /// breakdown.
     pub fn run(&self, program: &TraceProgram) -> Result<ReplayOutcome, ReplayError> {
         self.run_inner(program, &mut ())
     }
@@ -548,15 +571,19 @@ impl Replayer {
         }
 
         let mut clock = vec![0.0f64; n];
-        let mut compute_time = vec![0.0f64; n];
-        let mut comm_time = vec![0.0f64; n];
         let mut phase: Vec<PhaseId> = vec![0; n];
         let mut cursors: Vec<Cursor> = (0..n).map(|_| Cursor::new()).collect();
         let mut blocked: Vec<Option<Blocked>> = vec![None; n];
         let mut done = vec![false; n];
 
-        let mut phase_compute = vec![vec![0.0f64; n]; self.n_phases];
-        let mut phase_comm = vec![vec![0.0f64; n]; self.n_phases];
+        // Every rank starts in phase 0; other phases get their rows when
+        // a rank first enters them.
+        let n_phases = phase_count(program);
+        let mut phases = PhaseBreakdown {
+            compute: vec![Vec::new(); n_phases],
+            comm: vec![Vec::new(); n_phases],
+        };
+        phases.enter(0, n);
 
         // Per channel: FIFO of arrival times and what `obs` keeps.
         let mut mailbox: Vec<VecDeque<(f64, O::Msg)>> = std::iter::repeat_with(VecDeque::new)
@@ -594,18 +621,6 @@ impl Replayer {
                     let u = (x >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
                     1.0 + 2.0 * amp * u
                 }
-            }
-        };
-
-        let charge_comm = |rank: usize,
-                           dt: f64,
-                           phase: &[PhaseId],
-                           comm_time: &mut [f64],
-                           phase_comm: &mut [Vec<f64>]| {
-            comm_time[rank] += dt;
-            let p = phase[rank] as usize;
-            if p < phase_comm.len() {
-                phase_comm[p][rank] += dt;
             }
         };
 
@@ -666,11 +681,7 @@ impl Replayer {
                         let dt =
                             self.machine.kernel_time(cost) * noise_factor(rank, op_counter[rank]);
                         clock[rank] += dt;
-                        compute_time[rank] += dt;
-                        let p = phase[rank] as usize;
-                        if p < phase_compute.len() {
-                            phase_compute[p][rank] += dt;
-                        }
+                        phases.compute[phase[rank] as usize][rank] += dt;
                         obs.compute(rank, phase[rank], dt);
                         advance!();
                     }
@@ -678,17 +689,14 @@ impl Replayer {
                         op_counter[rank] += 1;
                         let dt = dt * noise_factor(rank, op_counter[rank]);
                         clock[rank] += dt;
-                        compute_time[rank] += dt;
-                        let p = phase[rank] as usize;
-                        if p < phase_compute.len() {
-                            phase_compute[p][rank] += dt;
-                        }
+                        phases.compute[phase[rank] as usize][rank] += dt;
                         obs.compute(rank, phase[rank], dt);
                         advance!();
                     }
                     Op::Phase(p) => {
                         if p != phase[rank] {
                             obs.phase(rank, phase[rank], clock[rank]);
+                            phases.enter(p, n);
                             phase[rank] = p;
                         }
                         advance!();
@@ -697,13 +705,7 @@ impl Replayer {
                         let wire = self.machine.p2p_time(rank, dst, bytes);
                         let arrival = clock[rank] + wire;
                         clock[rank] += self.machine.send_overhead;
-                        charge_comm(
-                            rank,
-                            self.machine.send_overhead,
-                            &phase,
-                            &mut comm_time,
-                            &mut phase_comm,
-                        );
+                        phases.comm[phase[rank] as usize][rank] += self.machine.send_overhead;
                         messages += 1;
                         total_bytes += bytes as u64;
                         let msg = obs.send(rank, phase[rank], clock[rank], dst, tag, bytes, wire);
@@ -724,7 +726,7 @@ impl Replayer {
                             Some((arrival, msg)) => {
                                 let wait = (arrival - clock[rank]).max(0.0);
                                 clock[rank] += wait;
-                                charge_comm(rank, wait, &phase, &mut comm_time, &mut phase_comm);
+                                phases.comm[phase[rank] as usize][rank] += wait;
                                 obs.recv(rank, phase[rank], clock[rank], src, tag, msg);
                                 advance!();
                             }
@@ -767,7 +769,7 @@ impl Replayer {
                             for &(r, at) in &coll.waiters {
                                 let wait = t_end - at;
                                 clock[r] = t_end;
-                                charge_comm(r, wait, &phase, &mut comm_time, &mut phase_comm);
+                                phases.comm[phase[r] as usize][r] += wait;
                                 if r != rank {
                                     blocked[r] = None;
                                     if !queued[r] && !done[r] {
@@ -816,19 +818,8 @@ impl Replayer {
             }
         }
 
-        let phases = if self.n_phases > 0 {
-            Some(PhaseBreakdown {
-                compute: phase_compute,
-                comm: phase_comm,
-            })
-        } else {
-            None
-        };
-
         Ok(ReplayOutcome {
             finish: clock,
-            compute_time,
-            comm_time,
             messages,
             bytes: total_bytes,
             phases,
@@ -875,7 +866,7 @@ mod tests {
         let out = Replayer::new(simple_machine()).run(&p).unwrap();
         // Arrival = 2 + 0.5 + 1.0 = 3.5.
         assert!((out.finish[1] - 3.5).abs() < 1e-12);
-        assert!((out.comm_time[1] - 3.5).abs() < 1e-12);
+        assert!((out.phases.comm[0][1] - 3.5).abs() < 1e-12);
         assert_eq!(out.messages, 1);
         assert_eq!(out.bytes, 10);
     }
@@ -1087,14 +1078,30 @@ mod tests {
             p.rank(r).phase(1);
             p.rank(r).compute(KernelCost::flops(2.0));
         }
-        let out = Replayer::new(simple_machine())
-            .track_phases(2)
-            .run(&p)
-            .unwrap();
-        let ph = out.phases.unwrap();
+        let ph = Replayer::new(simple_machine()).run(&p).unwrap().phases;
+        assert_eq!(ph.compute.len(), 2);
         assert!((ph.total_compute(0) - 2.0).abs() < 1e-12);
         assert!((ph.total_compute(1) - 4.0).abs() < 1e-12);
         assert!((ph.elapsed(1) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_entered_phases_get_rank_long_rows() {
+        let mut p = TraceProgram::new(2);
+        for r in 0..2 {
+            p.rank(r).compute(KernelCost::flops(1.0));
+            p.rank(r).phase(u16::MAX);
+            p.rank(r).compute(KernelCost::flops(2.0));
+        }
+        let ph = Replayer::new(simple_machine()).run(&p).unwrap().phases;
+        assert_eq!(ph.compute.len(), 65_536);
+        assert_eq!(ph.comm.len(), 65_536);
+        for (id, (compute, comm)) in ph.compute.iter().zip(&ph.comm).enumerate() {
+            let want = if id == 0 || id == 65_535 { 2 } else { 0 };
+            assert_eq!((compute.len(), comm.len()), (want, want), "phase {id}");
+        }
+        assert_eq!(ph.total_compute(1), 0.0);
+        assert_eq!(ph.total_compute(65_535), 4.0);
     }
 
     #[test]
@@ -1146,7 +1153,8 @@ mod tests {
         let a = rep.run(&p).unwrap();
         let b = rep.run(&p).unwrap();
         assert_eq!(a.finish, b.finish);
-        assert_eq!(a.comm_time, b.comm_time);
+        assert_eq!(a.phases.compute, b.phases.compute);
+        assert_eq!(a.phases.comm, b.phases.comm);
     }
 
     #[test]

@@ -124,16 +124,17 @@ fn repeat_program(
     p
 }
 
-/// Every number of a replay outcome, floats as bits.
-fn outcome_bits(out: &ReplayOutcome) -> (Vec<u64>, Vec<u64>, Vec<u64>, u64, u64) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    (
-        bits(&out.finish),
-        bits(&out.compute_time),
-        bits(&out.comm_time),
-        out.messages,
-        out.bytes,
-    )
+/// Every number of a replay outcome, floats as bits: the finish times,
+/// then each phase row's length and values, then the counts.
+fn outcome_bits(out: &ReplayOutcome) -> Vec<u64> {
+    let rows = out.phases.compute.iter().chain(&out.phases.comm);
+    let mut bits: Vec<u64> = out.finish.iter().map(|x| x.to_bits()).collect();
+    for row in rows {
+        bits.push(row.len() as u64);
+        bits.extend(row.iter().map(|x| x.to_bits()));
+    }
+    bits.extend([out.messages, out.bytes]);
+    bits
 }
 
 proptest! {
@@ -224,9 +225,40 @@ proptest! {
         for &f in &out.finish {
             prop_assert!(f >= 0.0 && f <= out.makespan() + 1e-15);
         }
-        // Compute + comm accounts for each rank's elapsed time.
+    }
+
+    #[test]
+    fn phase_breakdown_accounts_for_every_rank(
+        n in 2usize..10,
+        masks in proptest::collection::vec(0u64..1024, 0..3),
+        steps in steps(1..60),
+    ) {
+        let program = random_program(n, &masks, &steps);
+        let out = Replayer::new(Machine::archer2()).run(&program).unwrap();
+        let top = program
+            .traces
+            .iter()
+            .flat_map(|t| &t.ops)
+            .filter_map(|op| match *op {
+                Op::Phase(p) => Some(p as usize),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let ph = &out.phases;
+        prop_assert_eq!(ph.compute.len(), 1 + top);
+        prop_assert_eq!(ph.comm.len(), 1 + top);
+        for (compute, comm) in ph.compute.iter().zip(&ph.comm) {
+            prop_assert_eq!(compute.len(), comm.len());
+            prop_assert!(compute.is_empty() || compute.len() == n);
+        }
+        // Compute + comm over all phases accounts for each rank's
+        // elapsed time.
         for r in 0..n {
-            let total = out.compute_time[r] + out.comm_time[r];
+            let total: f64 = (0..ph.compute.len())
+                .filter(|&p| !ph.compute[p].is_empty())
+                .map(|p| ph.compute[p][r] + ph.comm[p][r])
+                .sum();
             prop_assert!((total - out.finish[r]).abs() < 1e-9 * out.finish[r].max(1.0));
         }
     }

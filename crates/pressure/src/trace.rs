@@ -118,10 +118,6 @@ impl PfSubPhase {
     }
 }
 
-/// Number of phase ids a detailed profile uses (`PressurePhase` +
-/// `PfSubPhase`).
-pub const N_DETAILED_PHASES: usize = 9;
-
 /// Phase names in id order, for detailed traces and reports.
 pub fn detailed_phase_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = PressurePhase::ALL.iter().map(|p| p.name()).collect();
@@ -436,17 +432,9 @@ impl PressureTraceModel {
             replayer.run(&prog).expect("setup").makespan()
         };
         let prog = self.build_program(p, machine, steps, detailed);
-        let n_phases = if detailed {
-            N_DETAILED_PHASES
-        } else {
-            PressurePhase::ALL.len()
-        };
-        let out = replayer
-            .track_phases(n_phases)
-            .run(&prog)
-            .expect("pressure trace must replay");
+        let out = replayer.run(&prog).expect("pressure trace must replay");
         let per_step = (out.makespan() - setup_time) / steps as f64;
-        (per_step, setup_time, out.phases.expect("tracked"))
+        (per_step, setup_time, out.phases)
     }
 
     /// Virtual runtime of one timestep at `p` ranks.

@@ -346,17 +346,15 @@ mod tests {
             let g = program.add_world_group();
             let ranks: Vec<usize> = (0..6).collect();
             m.emit(&mut program, &ranks, g, 18, phased.then_some((1, 2)));
-            Replayer::new(machine.clone())
-                .track_phases(3)
-                .run(&program)
-                .unwrap()
+            Replayer::new(machine.clone()).run(&program).unwrap()
         };
         let plain = build(false);
         let phased = build(true);
         // Markers are free: identical timing, but both lanes now carry
         // attributed time.
         assert_eq!(plain.makespan(), phased.makespan());
-        let breakdown = phased.phases.unwrap();
+        let breakdown = phased.phases;
+        assert_eq!(breakdown.compute.len(), 3);
         assert!(breakdown.elapsed(1) > 0.0, "particle steps");
         assert!(breakdown.elapsed(2) > 0.0, "field sweep");
     }

@@ -46,7 +46,6 @@ pub mod abft;
 pub mod coo;
 pub mod csr;
 pub mod dist;
-pub mod multilevel;
 pub mod partition;
 pub mod policy;
 pub mod renumber;
@@ -58,7 +57,6 @@ pub use abft::{AbftCsr, AbftError};
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dist::DistCsr;
-pub use multilevel::{multilevel_partition, MultilevelConfig};
 pub use partition::{greedy_graph_partition, rcb_partition, PartitionQuality};
 pub use policy::{KernelPolicy, Layout, LayoutMatrix, MatRef};
 pub use sell::{SellCSigma, SELL_MAX_C};

@@ -80,7 +80,6 @@ fn generate(machine: &Machine) -> Artifacts {
     let program = model.build_program(64, machine, 2, true);
     let names = cpx_pressure::trace::detailed_phase_names();
     let (_, pressure_session) = Replayer::new(machine.clone())
-        .track_phases(names.len())
         .run_traced(&program, &names)
         .expect("pressure replay");
 
@@ -107,11 +106,7 @@ fn generate(machine: &Machine) -> Artifacts {
     let alloc = model::allocate_scenario(&models, 1200);
     let run = sim::run_coupled_with(&scenario, &alloc, machine, 8, None);
     let (phase_names, out, _) = sim::trace_coupled(&scenario, &alloc, machine, 8);
-    let coupled = PhaseProfile::coupled(
-        &scenario,
-        &phase_names,
-        out.phases.as_ref().expect("tracked"),
-    );
+    let coupled = PhaseProfile::coupled(&scenario, &phase_names, &out.phases);
 
     let fig5 = PhaseProfile::pressure_fig5(PressureConfig::swirl_28m(), 2048, machine, 2);
     let share_sum: f64 = fig5.shares().iter().sum();
@@ -253,7 +248,7 @@ fn main() {
     let model = PressureTraceModel::new(PressureConfig::swirl_28m());
     let program = model.build_program(256, &machine, 4, true);
     let names = cpx_pressure::trace::detailed_phase_names();
-    let replayer = Replayer::new(machine.clone()).track_phases(names.len());
+    let replayer = Replayer::new(machine.clone());
     let plain = wall_min(reps, || {
         replayer.run(&program).expect("replay");
     });
