@@ -15,7 +15,7 @@
 
 use cpx_machine::des::PhaseBreakdown;
 use cpx_machine::Machine;
-use cpx_pressure::{PressureConfig, PressureTraceModel};
+use cpx_pressure::{PressureConfig, PressurePhase, PressureTraceModel};
 
 use crate::instance::Scenario;
 
@@ -73,9 +73,10 @@ impl PhaseProfile {
         }
     }
 
-    /// The paper's Fig 5a: phase shares of the pressure solver at `p`
-    /// ranks, with the pressure-field solve split into its AMG
-    /// sub-phases.
+    /// The paper's Fig 5a: phase shares of `steps` timesteps of the
+    /// pressure solver at `p` ranks, with the pressure-field solve split
+    /// into its AMG sub-phases. The replay's one-off AMG setup is not
+    /// part of a step, so it has no row and no part in the total.
     pub fn pressure_fig5(
         config: PressureConfig,
         p: usize,
@@ -85,11 +86,15 @@ impl PhaseProfile {
         let model = PressureTraceModel::new(config);
         let (_, _, breakdown) = model.profile_detailed(p, machine, steps);
         let names = cpx_pressure::trace::detailed_phase_names();
-        PhaseProfile::from_breakdown(
+        let mut profile = PhaseProfile::from_breakdown(
             format!("Pressure-solver phase shares at {p} ranks"),
             &names,
             &breakdown,
-        )
+        );
+        profile
+            .rows
+            .retain(|r| r.name != PressurePhase::Setup.name());
+        profile
     }
 
     /// Per-app / per-CU-stage breakdown of a coupled run, from the
@@ -151,6 +156,7 @@ impl PhaseProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpx_pressure::PfSubPhase;
 
     fn fig5() -> PhaseProfile {
         PhaseProfile::pressure_fig5(PressureConfig::swirl_28m(), 256, &Machine::archer2(), 2)
@@ -180,6 +186,53 @@ mod tests {
         }
         assert!(md.contains("| **total** |"));
         assert!(md.contains("100.0% |"));
+    }
+
+    #[test]
+    fn fig5_shares_match_the_fig5a_formula() {
+        // `figures fig5a` divides each phase's rank-seconds by the ranks
+        // and the span of the sampled steps; the profile's shares must
+        // agree once the pressure field's sub-phases are summed.
+        let (p, steps) = (256, 2);
+        let m = Machine::archer2();
+        let (step, _, ph) =
+            PressureTraceModel::new(PressureConfig::swirl_28m()).profile(p, &m, steps);
+        let profile = fig5();
+        let shares = profile.shares();
+        let share_of = |names: &[&str]| -> f64 {
+            profile
+                .rows
+                .iter()
+                .zip(&shares)
+                .filter(|(r, _)| names.contains(&r.name.as_str()))
+                .map(|(_, s)| s)
+                .sum()
+        };
+        assert!(
+            profile
+                .rows
+                .iter()
+                .all(|r| r.name != PressurePhase::Setup.name()),
+            "setup is not part of a step"
+        );
+        for phase in PressurePhase::ALL {
+            if phase == PressurePhase::Setup {
+                continue;
+            }
+            let id = phase.id() as usize;
+            let rank_s = ph.total_compute(id) + ph.total_comm(id);
+            let want = rank_s / p as f64 / (step * steps as f64) * 100.0;
+            let mut names = vec![phase.name()];
+            if phase == PressurePhase::PressureField {
+                names.extend(PfSubPhase::ALL.iter().map(|s| s.name()));
+            }
+            let got = share_of(&names);
+            assert!(
+                (got - want).abs() < 0.05,
+                "{}: profile {got:.3}% vs fig5a {want:.3}%",
+                phase.name()
+            );
+        }
     }
 
     #[test]

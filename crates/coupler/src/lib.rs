@@ -21,10 +21,12 @@
 //!
 //! Modules: [`layout`] — MPMD rank-space layout for apps + CUs;
 //! [`search`] — brute-force and k-d-tree donor search plus the
-//! rotation-prefetching wrapper; [`interp`] — interpolation weights
-//! (partition of unity ⇒ constants transfer exactly); [`unit`](mod@unit) — the
-//! coupler unit tying both sides together; [`trace`] — the CU cost
-//! model for the virtual testbed.
+//! sliding-plane prefetch that seeds each step's search with the last
+//! step's donors; [`conservative`] — the conservative transfer (each
+//! donor's weighted value goes to its nearest target); [`interp`] —
+//! interpolation weights (partition of unity ⇒ constants transfer
+//! exactly); [`unit`](mod@unit) — the coupler unit tying both sides
+//! together; [`trace`] — the CU cost model for the virtual testbed.
 
 pub mod conservative;
 pub mod interp;

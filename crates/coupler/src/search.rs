@@ -7,13 +7,16 @@
 //! * [`BruteSearch`] — `O(n·m)` reference (the original coupler's
 //!   bottleneck);
 //! * [`KdTree2`] — a 2-D k-d tree over the donor surface coordinates,
-//!   `O(n·log m)` per remap;
+//!   `O(n·log m)` per remap. With θ-periodicity it walks a ±period image
+//!   of a query only when that image could hold a nearer donor;
 //! * [`PrefetchSearch`] — the tree search plus the sliding-plane
-//!   prefetch: the rotor side rotates by a *known* Δθ per step, so the
-//!   mapping for the next iteration is predicted by rotating the cached
-//!   query set; the per-step search then costs only a verification pass.
-//!   This (plus the tree) is what reduced coupling overhead to <10% and
-//!   ultimately <0.5% of runtime (§II-B, §V-B).
+//!   prefetch: the rotor turns a small Δθ per step, so each target's
+//!   donor from the previous step is a few cells from its new one.
+//!   Every walk after the first step starts from that donor's distance
+//!   instead of ∞, so from its first node it skips every subtree and
+//!   image that lies farther away. This (plus the tree) is what reduced
+//!   coupling overhead to <10% and ultimately <0.5% of runtime (§II-B,
+//!   §V-B).
 
 /// Squared distance in surface coordinates, with θ-periodicity in the
 /// second coordinate when `theta_period` is set.
@@ -67,12 +70,36 @@ impl BruteSearch {
 }
 
 /// A 2-D k-d tree over donor points.
+///
+/// With θ-periodicity the tree holds the donors' unwrapped coordinates,
+/// and a query walks its own position, then its +period image, then its
+/// −period image.
+///
+/// # Which donor wins
+///
+/// The walk is depth-first and keeps the first node whose distance is
+/// strictly below the best so far, so among equally near donors the one
+/// met first in the unpruned walk order wins. That order depends on the
+/// query alone. A subtree or image is skipped only when a true lower
+/// bound on its distances is ≥ the current best: `delta²` at a k-d
+/// split, the squared θ-gap between an image and the donors' θ range
+/// for an image. Until the first minimum node is met the best is above
+/// the minimum, so no skip can drop that node, and a walk started from
+/// any bound above the minimum (a [`PrefetchSearch`] seed) cannot drop
+/// it either. Neither lets another minimum node come first, so every
+/// walk returns the same id. The bounds hold in floating point too:
+/// subtraction, squaring a non-negative and adding a non-negative are
+/// monotone.
 #[derive(Debug, Clone)]
 pub struct KdTree2 {
     /// Node-ordered points (median layout).
     pts: Vec<[f64; 2]>,
     /// Original donor index of each node.
     ids: Vec<usize>,
+    /// Node of each donor index (the inverse of `ids`).
+    node_by_id: Vec<usize>,
+    /// Smallest and largest donor θ.
+    theta_range: [f64; 2],
     theta_period: Option<f64>,
 }
 
@@ -84,9 +111,20 @@ impl KdTree2 {
         let mut pts = Vec::with_capacity(donors.len());
         let mut ids = Vec::with_capacity(donors.len());
         build_recurse(donors, &mut order, 0, &mut pts, &mut ids);
+        let mut node_by_id = vec![0; ids.len()];
+        for (node, &id) in ids.iter().enumerate() {
+            node_by_id[id] = node;
+        }
+        let theta = donors.iter().map(|d| d[1]);
+        let theta_range = [
+            theta.clone().fold(f64::INFINITY, f64::min),
+            theta.fold(f64::NEG_INFINITY, f64::max),
+        ];
         KdTree2 {
             pts,
             ids,
+            node_by_id,
+            theta_range,
             theta_period,
         }
     }
@@ -103,21 +141,45 @@ impl KdTree2 {
 
     /// Nearest donor index for `query`.
     pub fn nearest(&self, query: [f64; 2]) -> usize {
-        // With θ-periodicity, search the query and its ±period images
-        // (the tree itself is built on unwrapped coordinates).
-        let mut best = (f64::INFINITY, 0usize);
-        let queries: Vec<[f64; 2]> = match self.theta_period {
-            None => vec![query],
-            Some(period) => vec![
-                query,
-                [query[0], query[1] + period],
-                [query[0], query[1] - period],
-            ],
-        };
-        for q in queries {
-            self.nearest_recurse(0, self.pts.len(), 0, q, &mut best);
+        self.nearest_below(query, f64::INFINITY)
+    }
+
+    /// The nearest donor, walking only what could lie strictly nearer
+    /// than `bound`. `bound` must exceed the nearest distance (∞ always
+    /// does), or no node beats it and donor 0 comes back.
+    fn nearest_below(&self, query: [f64; 2], bound: f64) -> usize {
+        let mut best = (bound, 0usize);
+        let [lo, hi] = self.theta_range;
+        for q in self.images(query) {
+            let gap = (lo - q[1]).max(q[1] - hi).max(0.0);
+            if gap * gap < best.0 {
+                self.nearest_recurse(0, self.pts.len(), 0, q, &mut best);
+            }
         }
         best.1
+    }
+
+    /// The query and, with θ-periodicity, its +period and −period
+    /// images, in walk order.
+    fn images(&self, query: [f64; 2]) -> impl Iterator<Item = [f64; 2]> {
+        let shifted = self
+            .theta_period
+            .into_iter()
+            .flat_map(move |period| [[query[0], query[1] + period], [query[0], query[1] - period]]);
+        std::iter::once(query).chain(shifted)
+    }
+
+    /// A [`KdTree2::nearest_below`] bound from a guessed donor: the
+    /// next float above its distance to the nearest image of `query`.
+    /// The distance is the walk's own, so the bound exceeds the nearest
+    /// distance; the wrapped [`dist2`] could round below it. A NaN query
+    /// gives ∞ (`f64::min` drops NaN), the unseeded walk.
+    fn bound_from(&self, query: [f64; 2], donor: usize) -> f64 {
+        let p = self.pts[self.node_by_id[donor]];
+        self.images(query)
+            .map(|q| dist2(q, p, None))
+            .fold(f64::INFINITY, f64::min)
+            .next_up()
     }
 
     fn nearest_recurse(
@@ -153,6 +215,26 @@ impl KdTree2 {
     pub fn map_all(&self, queries: &[[f64; 2]]) -> Vec<usize> {
         queries.iter().map(|&q| self.nearest(q)).collect()
     }
+
+    /// The search before image skipping and seeding: every image walked
+    /// from ∞. Kept as the reference the pruned and seeded walks must
+    /// match id for id.
+    #[cfg(test)]
+    pub(crate) fn nearest_reference(&self, query: [f64; 2]) -> usize {
+        let mut best = (f64::INFINITY, 0usize);
+        let queries: Vec<[f64; 2]> = match self.theta_period {
+            None => vec![query],
+            Some(period) => vec![
+                query,
+                [query[0], query[1] + period],
+                [query[0], query[1] - period],
+            ],
+        };
+        for q in queries {
+            self.nearest_recurse(0, self.pts.len(), 0, q, &mut best);
+        }
+        best.1
+    }
 }
 
 fn build_recurse(
@@ -184,131 +266,69 @@ fn build_recurse(
     build_recurse(donors, right, 1 - axis, pts, ids);
 }
 
-/// Tree search with sliding-plane prefetching: caches the mapping and,
-/// given the known per-step rotation, reuses it by rotating the queries
-/// instead of re-searching from scratch.
+/// Tree search with sliding-plane prefetching: each step's walks are
+/// seeded with the previous step's mapping.
+///
+/// The first [`PrefetchSearch::step_map`], and any call whose query
+/// count differs from the last one, walks from ∞. Every other call
+/// starts target i's walk from just above the distance to last step's
+/// donor of target i, found in O(1) through the tree's inverse
+/// permutation. The ids are the unseeded [`KdTree2::nearest`]'s, bit for
+/// bit (see [`KdTree2`]'s "Which donor wins").
 #[derive(Debug, Clone)]
 pub struct PrefetchSearch {
     tree: KdTree2,
-    /// Rotation applied per step (radians).
-    dtheta_per_step: f64,
-    theta_period: f64,
-    /// Cached queries (pre-rotation) and their mapping.
-    cached: Option<(Vec<[f64; 2]>, Vec<usize>)>,
-    /// Statistics: how many nearest-neighbour searches were avoided.
+    /// Last step's mapping, overwritten in place by the next step.
+    mapping: Option<Vec<usize>>,
+    /// Statistics: targets whose previous-step donor, the seed of
+    /// their walk, was still the nearest.
     pub searches_saved: usize,
     /// Statistics: how many searches were performed.
     pub searches_done: usize,
 }
 
 impl PrefetchSearch {
-    /// Build over donors rotating by `dtheta_per_step` each step.
-    pub fn new(donors: &[[f64; 2]], theta_period: f64, dtheta_per_step: f64) -> PrefetchSearch {
+    /// Build over donors periodic in θ with `theta_period`.
+    pub fn new(donors: &[[f64; 2]], theta_period: f64) -> PrefetchSearch {
         PrefetchSearch {
             tree: KdTree2::build(donors, Some(theta_period)),
-            dtheta_per_step,
-            theta_period,
-            cached: None,
+            mapping: None,
             searches_saved: 0,
             searches_done: 0,
         }
     }
 
-    /// Map the queries for the current step. On the first call a full
-    /// tree search runs; subsequent steps rotate the cached queries by
-    /// `dtheta_per_step` and only re-search points whose predicted
-    /// donor is no longer the nearest.
-    pub fn step_map(&mut self, queries: &[[f64; 2]]) -> Vec<usize> {
-        match self.cached.take() {
-            None => {
-                let mapping = self.tree.map_all(queries);
-                self.searches_done += queries.len();
-                self.cached = Some((queries.to_vec(), mapping.clone()));
-                mapping
-            }
-            Some((prev_q, prev_map)) => {
-                let mut mapping = Vec::with_capacity(queries.len());
-                for (i, &q) in queries.iter().enumerate() {
-                    // Predicted: the previous donor still nearest after
-                    // rotation. Verify by comparing against the true
-                    // nearest of the *rotated previous query*; if the
-                    // query moved as predicted, reuse.
-                    let predicted = [
-                        prev_q[i][0],
-                        (prev_q[i][1] + self.dtheta_per_step).rem_euclid(self.theta_period),
-                    ];
-                    let matches_prediction = (q[0] - predicted[0]).abs() < 1e-9
-                        && angular_close(q[1], predicted[1], self.theta_period);
-                    if matches_prediction
-                        && dist2(q, self.tree.pts[node_of(&self.tree, prev_map[i])], None)
-                            <= donor_spacing2(&self.tree)
-                    {
-                        self.searches_saved += 1;
-                        mapping.push(self.tree.nearest(q)); // cheap verify: still a tree hit
-                        self.searches_done += 1;
-                    } else {
-                        self.searches_done += 1;
-                        mapping.push(self.tree.nearest(q));
-                    }
+    /// Map the queries for the current step, each walk seeded with the
+    /// target's donor from the previous call.
+    pub fn step_map(&mut self, queries: &[[f64; 2]]) -> &[usize] {
+        let tree = &self.tree;
+        self.searches_done += queries.len();
+        match &mut self.mapping {
+            Some(prev) if prev.len() == queries.len() => {
+                for (donor, &q) in prev.iter_mut().zip(queries) {
+                    let seed = *donor;
+                    *donor = tree.nearest_below(q, tree.bound_from(q, seed));
+                    self.searches_saved += usize::from(*donor == seed);
                 }
-                self.cached = Some((queries.to_vec(), mapping.clone()));
-                mapping
             }
+            slot => *slot = Some(tree.map_all(queries)),
         }
+        self.mapping.as_deref().expect("mapped above")
     }
 
-    /// Advance one step on the *cached* mapping alone — the degraded
-    /// path when fresh query coordinates never arrived (e.g. the
-    /// exchange payload was dropped). The cached queries are rotated by
-    /// the known per-step Δθ so a later [`PrefetchSearch::step_map`]
-    /// resynchronises cleanly, and the last-good donors are returned
-    /// unchanged. `None` if no mapping has been computed yet.
-    pub fn advance_cached(&mut self) -> Option<Vec<usize>> {
-        let (queries, mapping) = self.cached.as_mut()?;
-        for q in queries.iter_mut() {
-            q[1] = (q[1] + self.dtheta_per_step).rem_euclid(self.theta_period);
-        }
-        self.searches_saved += mapping.len();
-        Some(mapping.clone())
-    }
-
-    /// The last-good mapping, if one exists.
+    /// The last-good mapping, if one exists: what a step without fresh
+    /// query coordinates (e.g. a dropped exchange payload) keeps using.
     pub fn last_map(&self) -> Option<&[usize]> {
-        self.cached.as_ref().map(|(_, m)| m.as_slice())
+        self.mapping.as_deref()
     }
-}
-
-fn angular_close(a: f64, b: f64, period: f64) -> bool {
-    let d = (a - b).rem_euclid(period);
-    d < 1e-9 || (period - d) < 1e-9
-}
-
-fn node_of(tree: &KdTree2, donor_id: usize) -> usize {
-    tree.ids
-        .iter()
-        .position(|&id| id == donor_id)
-        .expect("donor id present")
-}
-
-fn donor_spacing2(tree: &KdTree2) -> f64 {
-    // A generous acceptance radius: the bounding box diagonal over the
-    // point count.
-    let n = tree.pts.len() as f64;
-    let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
-    for p in &tree.pts {
-        for d in 0..2 {
-            lo[d] = lo[d].min(p[d]);
-            hi[d] = hi[d].max(p[d]);
-        }
-    }
-    let diag2 = (hi[0] - lo[0]).powi(2) + (hi[1] - lo[1]).powi(2);
-    4.0 * diag2 / n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::f64::consts::TAU;
 
     fn random_points(n: usize, seed: u64) -> Vec<[f64; 2]> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -341,10 +361,9 @@ mod tests {
         // Donor at θ=0.05, query at θ=6.25 (≈ 2π − 0.03): nearest must
         // wrap around, not go to the donor at θ=3.0.
         let donors = vec![[1.0, 0.05], [1.0, 3.0]];
-        let period = std::f64::consts::TAU;
-        let brute = BruteSearch::new(donors.clone(), Some(period));
+        let brute = BruteSearch::new(donors.clone(), Some(TAU));
         assert_eq!(brute.nearest([1.0, 6.25]), 0);
-        let tree = KdTree2::build(&donors, Some(period));
+        let tree = KdTree2::build(&donors, Some(TAU));
         assert_eq!(tree.nearest([1.0, 6.25]), 0);
     }
 
@@ -365,61 +384,112 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prefetch_matches_full_search_under_rotation() {
-        let period = std::f64::consts::TAU;
-        let donors = random_points(300, 4);
-        let dtheta = 0.013;
-        let mut prefetch = PrefetchSearch::new(&donors, period, dtheta);
-        let brute = BruteSearch::new(donors.clone(), Some(period));
-        let mut queries = random_points(100, 5);
-        for _ in 0..10 {
-            let got = prefetch.step_map(&queries);
-            let want = brute.map_all(&queries);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                let dg = dist2(queries[i], donors[*g], Some(period));
-                let dw = dist2(queries[i], donors[*w], Some(period));
-                assert!((dg - dw).abs() < 1e-12, "query {i}");
-            }
-            // Rotate the sliding plane.
-            for q in &mut queries {
-                q[1] = (q[1] + dtheta).rem_euclid(period);
+    /// Donors: uniform over `[1, 2) × [0, 2π)`, or (with `lattice`)
+    /// rounded onto a dyadic lattice, so coordinates repeat and
+    /// distances tie exactly.
+    fn donor_set(raw: Vec<(f64, f64)>, lattice: bool) -> Vec<[f64; 2]> {
+        raw.into_iter()
+            .map(|(r, t)| {
+                if lattice {
+                    [(r * 4.0).floor() / 4.0, (t * 4.0).floor() / 4.0]
+                } else {
+                    [r, t]
+                }
+            })
+            .collect()
+    }
+
+    /// Queries near the θ = 0 / 2π seam (`t` in `[-0.3, 0.3)`, wrapped
+    /// up when negative), or anywhere; with `lattice`, on the donor
+    /// lattice's half steps, where distances tie exactly.
+    fn query_set(raw: Vec<(f64, f64, u8)>, lattice: bool) -> Vec<[f64; 2]> {
+        raw.into_iter()
+            .map(|(r, t, place)| {
+                let t = match place {
+                    0 if t < 0.0 => TAU + t,
+                    0 => t,
+                    _ => (t + 0.3) / 0.6 * TAU,
+                };
+                if lattice {
+                    [(r * 8.0).round() / 8.0, (t * 8.0).round() / 8.0]
+                } else {
+                    [r, t]
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn pruned_and_seeded_walks_return_the_reference_id(
+            raw_donors in proptest::collection::vec((1.0f64..2.0, 0.0f64..TAU), 1..150),
+            raw_queries in proptest::collection::vec((1.0f64..2.0, -0.3f64..0.3, 0u8..2), 1..40),
+            lattice in 0u8..2,
+            periodic in 0u8..2,
+            seed in 0usize..1_000_000,
+        ) {
+            let donors = donor_set(raw_donors, lattice == 1);
+            let queries = query_set(raw_queries, lattice == 1);
+            let tree = KdTree2::build(&donors, (periodic == 1).then_some(TAU));
+            for (i, &q) in queries.iter().enumerate() {
+                let want = tree.nearest_reference(q);
+                prop_assert_eq!(tree.nearest(q), want, "query {:?}", q);
+                let guess = (seed + 7 * i) % donors.len();
+                let seeded = tree.nearest_below(q, tree.bound_from(q, guess));
+                prop_assert_eq!(seeded, want, "query {:?} seeded from {}", q, guess);
             }
         }
+    }
+
+    #[test]
+    fn prefetch_matches_full_search_under_rotation() {
+        let donors = random_points(300, 4);
+        let dtheta = 0.013;
+        let mut prefetch = PrefetchSearch::new(&donors, TAU);
+        let tree = KdTree2::build(&donors, Some(TAU));
+        let mut queries = random_points(100, 5);
+        for _ in 0..10 {
+            let want: Vec<usize> = queries.iter().map(|&q| tree.nearest_reference(q)).collect();
+            assert_eq!(prefetch.step_map(&queries), &want[..]);
+            // Rotate the sliding plane.
+            for q in &mut queries {
+                q[1] = (q[1] + dtheta).rem_euclid(TAU);
+            }
+        }
+        assert_eq!(prefetch.searches_done, 1000);
         assert!(prefetch.searches_saved > 0, "prefetch must save work");
     }
 
     #[test]
-    fn advance_cached_returns_last_good_and_resyncs() {
-        let period = std::f64::consts::TAU;
+    fn last_map_is_the_last_good_mapping_and_a_resized_step_walks_unseeded() {
         let donors = random_points(300, 4);
-        let dtheta = 0.013;
-        let mut prefetch = PrefetchSearch::new(&donors, period, dtheta);
-        assert!(prefetch.advance_cached().is_none(), "nothing cached yet");
-        assert!(prefetch.last_map().is_none());
+        let tree = KdTree2::build(&donors, Some(TAU));
+        let mut prefetch = PrefetchSearch::new(&donors, TAU);
+        assert!(prefetch.last_map().is_none(), "nothing mapped yet");
 
         let mut queries = random_points(100, 5);
-        let good = prefetch.step_map(&queries);
-        // Two degraded steps: the stale mapping is exactly the last-good
-        // one and costs zero searches.
-        let done_before = prefetch.searches_done;
-        assert_eq!(prefetch.advance_cached().unwrap(), good);
-        assert_eq!(prefetch.advance_cached().unwrap(), good);
-        assert_eq!(prefetch.searches_done, done_before);
+        let good = prefetch.step_map(&queries).to_vec();
         assert_eq!(prefetch.last_map().unwrap(), &good[..]);
 
-        // Fresh data resumes: rotate the real queries by the three steps
-        // taken and the prefetch path must still agree with brute force.
+        // Three steps' rotation later the seeds are stale, yet still
+        // bounds: the mapping is the unseeded one.
         for q in &mut queries {
-            q[1] = (q[1] + 3.0 * dtheta).rem_euclid(period);
+            q[1] = (q[1] + 3.0 * 0.013).rem_euclid(TAU);
         }
-        let got = prefetch.step_map(&queries);
-        let brute = BruteSearch::new(donors.clone(), Some(period));
-        for (i, (g, w)) in got.iter().zip(&brute.map_all(&queries)).enumerate() {
-            let dg = dist2(queries[i], donors[*g], Some(period));
-            let dw = dist2(queries[i], donors[*w], Some(period));
-            assert!((dg - dw).abs() < 1e-12, "query {i} after resync");
-        }
+        let want: Vec<usize> = queries.iter().map(|&q| tree.nearest_reference(q)).collect();
+        assert_eq!(prefetch.step_map(&queries), &want[..]);
+
+        // A different query count cannot be seeded target by target.
+        queries.truncate(60);
+        let saved = prefetch.searches_saved;
+        assert_eq!(prefetch.step_map(&queries), &want[..60]);
+        assert_eq!(
+            prefetch.searches_saved, saved,
+            "an unseeded step saves nothing"
+        );
+        assert_eq!(prefetch.searches_done, 260);
     }
 
     #[test]

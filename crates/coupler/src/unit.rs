@@ -75,12 +75,10 @@ impl CouplerUnit {
                 );
                 unit.remaps = 1;
             }
-            UnitKind::SlidingPlane { steps_per_rev } => {
-                let dtheta = std::f64::consts::TAU / steps_per_rev as f64;
+            UnitKind::SlidingPlane { .. } => {
                 unit.searcher = Some(PrefetchSearch::new(
                     &unit.side_a.surface_coords,
                     std::f64::consts::TAU,
-                    dtheta,
                 ));
             }
         }
@@ -88,7 +86,8 @@ impl CouplerUnit {
     }
 
     /// Advance one coupling step: sliding planes rotate side A and
-    /// remap; steady-state units only count.
+    /// remap, overwriting each stencil's one donor in place; steady-state
+    /// units only count.
     pub fn step(&mut self) {
         self.steps += 1;
         if let UnitKind::SlidingPlane { steps_per_rev } = self.kind {
@@ -98,13 +97,13 @@ impl CouplerUnit {
             self.side_b = self.side_b.rotated(-dtheta);
             let searcher = self.searcher.as_mut().expect("sliding plane has searcher");
             let mapping = searcher.step_map(&self.side_b.surface_coords);
-            self.stencils = mapping
-                .into_iter()
-                .map(|d| Stencil {
-                    donors: vec![d],
-                    weights: vec![1.0],
-                })
-                .collect();
+            self.stencils.resize_with(mapping.len(), || Stencil {
+                donors: vec![0],
+                weights: vec![1.0],
+            });
+            for (stencil, &d) in self.stencils.iter_mut().zip(mapping) {
+                stencil.donors[0] = d;
+            }
             self.remaps += 1;
         }
     }
@@ -112,25 +111,15 @@ impl CouplerUnit {
     /// Advance one coupling step *without* fresh partner data — the
     /// degraded path when the exchange payload was lost. The geometry
     /// still moves (a sliding plane's rotor does not stop turning), but
-    /// the unit keeps its last-good stencils via the searcher's cached
-    /// mapping instead of re-searching, and counts the staleness. A
-    /// later [`CouplerUnit::step`] with real data resynchronises.
+    /// the unit keeps its last-good stencils instead of re-searching,
+    /// and counts the staleness. A later [`CouplerUnit::step`] with real
+    /// data resynchronises.
     pub fn step_stale(&mut self) {
         self.steps += 1;
         self.stale_steps += 1;
         if let UnitKind::SlidingPlane { steps_per_rev } = self.kind {
             let dtheta = std::f64::consts::TAU / steps_per_rev as f64;
             self.side_b = self.side_b.rotated(-dtheta);
-            let searcher = self.searcher.as_mut().expect("sliding plane has searcher");
-            if let Some(mapping) = searcher.advance_cached() {
-                self.stencils = mapping
-                    .into_iter()
-                    .map(|d| Stencil {
-                        donors: vec![d],
-                        weights: vec![1.0],
-                    })
-                    .collect();
-            }
             // No remap: the stale stencils are a reuse, not a search.
         }
     }
@@ -163,6 +152,7 @@ impl CouplerUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::KdTree2;
     use cpx_mesh::mesh::annulus_sector;
     use cpx_mesh::{overlap_interface, sliding_plane_pair};
 
@@ -267,6 +257,38 @@ mod tests {
             fresh, good,
             "24 ring positions in 4 steps must shift donors"
         );
+    }
+
+    #[test]
+    fn every_step_of_a_revolution_maps_to_the_reference_donors() {
+        // 512 targets, 96 steps a turn, a lost exchange every seventh
+        // step: after each real step every stencil holds the donor the
+        // unpruned, unseeded reference search finds on side B as it is.
+        let up = annulus_sector(6, 8, 64, 1.0, 2.0, 0.0, 1.0, std::f64::consts::TAU);
+        let down = annulus_sector(6, 8, 64, 1.0, 2.0, 1.0, 1.0, std::f64::consts::TAU);
+        let (a, b) = sliding_plane_pair(&up, &down);
+        let reference = KdTree2::build(&a.surface_coords, Some(std::f64::consts::TAU));
+        let mut unit = CouplerUnit::new(UnitKind::SlidingPlane { steps_per_rev: 96 }, a, b);
+        for k in 0..96 {
+            if k % 7 == 3 {
+                unit.step_stale();
+                continue;
+            }
+            unit.step();
+            for (i, (s, &t)) in unit
+                .stencils
+                .iter()
+                .zip(&unit.side_b.surface_coords)
+                .enumerate()
+            {
+                assert_eq!(
+                    s.donors,
+                    [reference.nearest_reference(t)],
+                    "step {k}, target {i}"
+                );
+            }
+        }
+        assert_eq!((unit.steps, unit.stale_steps, unit.remaps), (96, 14, 82));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! injected through nozzles, so they are *heavily clustered* in space,
 //! and with spatial partitioning a handful of ranks own nearly all of
 //! them while the rest wait (96% of spray time in communication at 2048
-//! cores — Fig 5a). [`rank_fractions`] is the distribution model the
+//! cores — Fig 5a). [`rank_fraction`] is the distribution model the
 //! trace generator uses: a nozzle-core mass fraction that stays on one
 //! rank no matter how finely the domain is cut, plus a dispersed
 //! remainder that balances.
@@ -20,23 +20,25 @@ pub const CORE_FRACTION: f64 = 0.02;
 /// Relative axial position of the injector.
 pub const INJECTOR_POSITION: f64 = 0.15;
 
-/// Fraction of all droplets owned by each of `p` ranks under spatial
+/// Fraction of all droplets owned by rank `i` of `p` under spatial
 /// (axial-slab) partitioning: the rank containing the injector holds the
 /// core plus its share of the dispersed cloud; everyone else holds just
 /// a dispersed share.
-pub fn rank_fractions(p: usize) -> Vec<f64> {
-    assert!(p >= 1);
+pub fn rank_fraction(i: usize, p: usize) -> f64 {
+    assert!(i < p, "rank {i} of {p}");
     let dispersed = (1.0 - CORE_FRACTION) / p as f64;
     let core_rank = ((INJECTOR_POSITION * p as f64) as usize).min(p - 1);
-    (0..p)
-        .map(|i| {
-            if i == core_rank {
-                CORE_FRACTION + dispersed
-            } else {
-                dispersed
-            }
-        })
-        .collect()
+    if i == core_rank {
+        CORE_FRACTION + dispersed
+    } else {
+        dispersed
+    }
+}
+
+/// [`rank_fraction`] of each of `p` ranks.
+pub fn rank_fractions(p: usize) -> Vec<f64> {
+    assert!(p >= 1);
+    (0..p).map(|i| rank_fraction(i, p)).collect()
 }
 
 /// Max-over-ranks droplet fraction at `p` ranks.

@@ -340,8 +340,7 @@ impl PressureTraceModel {
             // modelled as perfect scaling per §IV-C).
             self.config.particles / p as f64
         } else {
-            let fracs = spray::rank_fractions(p);
-            self.config.particles * fracs[i]
+            self.config.particles * spray::rank_fraction(i, p)
         };
         ops.push(Op::Compute(secs(bw, SPRAY_PER_PARTICLE * my_particles)));
         // Spray/solver synchronisation point.
@@ -394,7 +393,8 @@ impl PressureTraceModel {
     }
 
     /// Replay a short standalone run; returns `(per_step_seconds,
-    /// setup_seconds, phase breakdown over the sampled steps)`.
+    /// setup_seconds, phase breakdown)`. The breakdown covers the whole
+    /// replay: the sampled steps and the setup phase before them.
     pub fn profile(&self, p: usize, machine: &Machine, steps: u32) -> (f64, f64, PhaseBreakdown) {
         self.profile_with(p, machine, steps, false)
     }

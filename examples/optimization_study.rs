@@ -8,12 +8,13 @@
 //! cargo run --release --example optimization_study
 //! ```
 
-use std::time::Instant;
+use std::f64::consts::TAU;
+use std::time::{Duration, Instant};
 
 use cpx_amg::{
     pcg, CgConfig, CycleType, Hierarchy, HierarchyConfig, InterpKind, Preconditioner, Smoother,
 };
-use cpx_coupler::search::{BruteSearch, KdTree2};
+use cpx_coupler::search::{BruteSearch, KdTree2, PrefetchSearch};
 use cpx_machine::Machine;
 use cpx_pressure::{PressureConfig, PressureTraceModel};
 use cpx_sparse::spgemm::{spgemm_hash, spgemm_spa, spgemm_twopass};
@@ -88,20 +89,10 @@ fn main() {
     println!("\n=== Donor search (20k donors, 5k queries) ===");
     let mut rng = StdRng::seed_from_u64(7);
     let donors: Vec<[f64; 2]> = (0..20_000)
-        .map(|_| {
-            [
-                rng.gen_range(1.0..2.0),
-                rng.gen_range(0.0..std::f64::consts::TAU),
-            ]
-        })
+        .map(|_| [rng.gen_range(1.0..2.0), rng.gen_range(0.0..TAU)])
         .collect();
     let queries: Vec<[f64; 2]> = (0..5_000)
-        .map(|_| {
-            [
-                rng.gen_range(1.0..2.0),
-                rng.gen_range(0.0..std::f64::consts::TAU),
-            ]
-        })
+        .map(|_| [rng.gen_range(1.0..2.0), rng.gen_range(0.0..TAU)])
         .collect();
     let t0 = Instant::now();
     let brute = BruteSearch::new(donors.clone(), None).map_all(&queries);
@@ -110,11 +101,47 @@ fn main() {
     let tree = KdTree2::build(&donors, None);
     let tree_map = tree.map_all(&queries);
     let t_tree = t0.elapsed();
-    assert_eq!(brute.len(), tree_map.len());
+    // Ties may pick another donor, never a farther one.
+    let dist2 = |q: [f64; 2], d: usize| {
+        let (dr, dt) = (q[0] - donors[d][0], q[1] - donors[d][1]);
+        dr * dr + dt * dt
+    };
+    for ((&q, &b), &t) in queries.iter().zip(&brute).zip(&tree_map) {
+        assert_eq!(dist2(q, t), dist2(q, b), "query {q:?}: tree {t}, brute {b}");
+    }
     println!("  brute force: {t_brute:>10.2?}");
     println!(
         "  k-d tree:    {t_tree:>10.2?}  ({:.0}x faster)",
         t_brute.as_secs_f64() / t_tree.as_secs_f64()
+    );
+
+    // One revolution of a sliding plane in 96 steps: each prefetch step
+    // is seeded with the last and must return the tree's own ids.
+    let steps = 96;
+    let periodic = KdTree2::build(&donors, Some(TAU));
+    let mut prefetch = PrefetchSearch::new(&donors, TAU);
+    let mut turning = queries.clone();
+    let (mut t_tree, mut t_prefetch) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..steps {
+        for q in &mut turning {
+            q[1] = (q[1] - TAU / steps as f64).rem_euclid(TAU);
+        }
+        let t0 = Instant::now();
+        let want = periodic.map_all(&turning);
+        t_tree += t0.elapsed();
+        let t0 = Instant::now();
+        let got = prefetch.step_map(&turning);
+        t_prefetch += t0.elapsed();
+        assert_eq!(
+            got,
+            &want[..],
+            "prefetch and tree must pick the same donors"
+        );
+    }
+    println!("  {steps} steps of a turn, periodic k-d tree: {t_tree:>10.2?}");
+    println!(
+        "  {steps} steps of a turn, prefetch:          {t_prefetch:>10.2?}  (last step's donor still nearest for {} of {} targets)",
+        prefetch.searches_saved, prefetch.searches_done
     );
 
     println!("\n=== Modelled effect on the pressure solver (Fig 6a) ===");
