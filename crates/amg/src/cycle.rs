@@ -79,7 +79,7 @@ pub fn wcycle(h: &Hierarchy, level: usize, b: &[f64], x: &mut [f64]) {
     let r_op = lvl.r.as_ref().expect("non-coarsest level has R");
     let p_op = lvl.p.as_ref().expect("non-coarsest level has P");
     for _ in 0..2 {
-        let residual = residual_of(h, lvl, b, x);
+        let residual = residual_of(lvl, b, x);
         let mut rc = vec![0.0; r_op.nrows()];
         r_op.spmv(&residual, &mut rc);
         let mut xc = vec![0.0; rc.len()];
@@ -108,7 +108,7 @@ pub fn vcycle(h: &Hierarchy, level: usize, b: &[f64], x: &mut [f64]) {
     smoother.smooth(a, b, x, h.config.pre_sweeps);
 
     // Coarse correction.
-    let residual = residual_of(h, lvl, b, x);
+    let residual = residual_of(lvl, b, x);
     let r_op = lvl.r.as_ref().expect("non-coarsest level has R");
     let p_op = lvl.p.as_ref().expect("non-coarsest level has P");
     let mut rc = vec![0.0; r_op.nrows()];
@@ -137,7 +137,7 @@ pub fn kcycle(h: &Hierarchy, level: usize, b: &[f64], x: &mut [f64]) {
     let smoother = h.config.smoother;
     smoother.smooth(a, b, x, h.config.pre_sweeps);
 
-    let residual = residual_of(h, lvl, b, x);
+    let residual = residual_of(lvl, b, x);
     let r_op = lvl.r.as_ref().expect("non-coarsest level has R");
     let p_op = lvl.p.as_ref().expect("non-coarsest level has P");
     let mut rc = vec![0.0; r_op.nrows()];
@@ -168,7 +168,7 @@ fn kcycle_coarse_solve(h: &Hierarchy, level: usize, rc: &[f64]) -> Vec<f64> {
     let mut c1 = vec![0.0; n];
     kcycle(h, level, rc, &mut c1);
     let mut v1 = vec![0.0; n];
-    lvl.mat_ref().spmv_p(&h.policy, &c1, &mut v1);
+    lvl.a.spmv(&c1, &mut v1);
     let rho1 = dot(&c1, &v1);
     let alpha1 = dot(&c1, rc);
     if rho1.abs() < f64::MIN_POSITIVE {
@@ -184,7 +184,7 @@ fn kcycle_coarse_solve(h: &Hierarchy, level: usize, rc: &[f64]) -> Vec<f64> {
     let mut c2 = vec![0.0; n];
     kcycle(h, level, &rtilde, &mut c2);
     let mut v2 = vec![0.0; n];
-    lvl.mat_ref().spmv_p(&h.policy, &c2, &mut v2);
+    lvl.a.spmv(&c2, &mut v2);
     let gamma = dot(&c2, &v1);
     let beta = dot(&c2, &v2);
     let alpha2 = dot(&c2, &rtilde);
@@ -296,9 +296,9 @@ pub fn apply_cycle_guarded(
     })
 }
 
-fn residual_of(h: &Hierarchy, lvl: &Level, b: &[f64], x: &[f64]) -> Vec<f64> {
+fn residual_of(lvl: &Level, b: &[f64], x: &[f64]) -> Vec<f64> {
     let mut ax = vec![0.0; b.len()];
-    lvl.mat_ref().spmv_p(&h.policy, x, &mut ax);
+    lvl.a.spmv(x, &mut ax);
     b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect()
 }
 

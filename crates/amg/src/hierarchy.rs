@@ -3,12 +3,17 @@
 //! [`Hierarchy::build`] coarsens the operator with greedy aggregation,
 //! improves the prolongator per [`InterpKind`], and forms each coarse
 //! operator as the Galerkin triple product `Aᶜ = Pᵀ A P` using the SPA
-//! SpGEMM. Setup cost (the phase the paper's profile singles out) is
-//! accumulated in [`Hierarchy::setup_stats`]; per-cycle work is exposed
-//! by [`Hierarchy::cycle_work`] for the pressure-solver cost model.
+//! SpGEMM, through one workspace shared by all levels. Setup cost (the
+//! phase the paper's profile singles out) is accumulated in
+//! [`Hierarchy::setup_stats`]; per-cycle work is exposed by
+//! [`Hierarchy::cycle_work`] for the pressure-solver cost model.
+//!
+//! A [`Level`] holds its operator only as CSR, and the cycles multiply
+//! by it with [`Csr::spmv`], so editing `levels[k].a` in place leaves
+//! no derived copy stale.
 
-use cpx_sparse::spgemm::{triple_product_ws, GalerkinWorkspace};
-use cpx_sparse::{Csr, KernelPolicy, Layout, MatRef, SellCSigma, SpOpStats};
+use cpx_sparse::spgemm::{spgemm_chunks, triple_product_ws, GalerkinWorkspace};
+use cpx_sparse::{Csr, SpOpStats};
 
 use crate::aggregate::aggregate_greedy;
 use crate::interp::{extended_prolongator, smooth_prolongator};
@@ -76,17 +81,6 @@ pub struct Level {
     pub p: Option<Csr>,
     /// Restriction (`Pᵀ`) from this level to the next-coarser.
     pub r: Option<Csr>,
-    /// Prepared SELL-C-σ view of `a` (built when the hierarchy's
-    /// [`KernelPolicy`] selects a SELL layout). Stale after mutating
-    /// `a` in place — callers editing `vals_mut` must clear it.
-    pub sell: Option<SellCSigma>,
-}
-
-impl Level {
-    /// Kernel-dispatch view of this level's operator.
-    pub fn mat_ref(&self) -> MatRef<'_> {
-        MatRef::with_sell(&self.a, self.sell.as_ref())
-    }
 }
 
 /// A built AMG hierarchy.
@@ -96,8 +90,6 @@ pub struct Hierarchy {
     pub levels: Vec<Level>,
     /// Construction parameters (cycles read the smoother settings).
     pub config: HierarchyConfig,
-    /// Kernel execution policy the cycles dispatch SpMVs through.
-    pub policy: KernelPolicy,
     /// Total setup work (strength + aggregation + prolongator smoothing
     /// + Galerkin products).
     setup_stats: SpOpStats,
@@ -108,33 +100,9 @@ pub struct Hierarchy {
 impl Hierarchy {
     /// Build a hierarchy for symmetric positive (semi-)definite `a`.
     pub fn build(a: Csr, config: HierarchyConfig) -> Hierarchy {
-        Hierarchy::build_with(
-            a,
-            config,
-            KernelPolicy::current(),
-            &mut GalerkinWorkspace::new(),
-        )
-    }
-
-    /// [`Hierarchy::build`] with an explicit kernel policy and a
-    /// reusable Galerkin workspace: the SPA scratch and intermediate
-    /// `A·P` buffers come from `ws` (so repeated rebuilds — the
-    /// coupled-simulation outer loop — stop allocating), and a SELL
-    /// layout in the policy prepares per-level views the cycles
-    /// dispatch through. Results and modelled setup stats are
-    /// bit-identical for every policy and workspace state.
-    pub fn build_with(
-        a: Csr,
-        config: HierarchyConfig,
-        policy: KernelPolicy,
-        ws: &mut GalerkinWorkspace,
-    ) -> Hierarchy {
         assert!(config.max_levels >= 1);
         assert!(config.coarse_size >= 1);
-        let prepare = |m: &Csr| match policy.layout {
-            Layout::Csr => None,
-            Layout::Sell { c, sigma } => Some(SellCSigma::from_csr(m, c, sigma)),
-        };
+        let mut ws = GalerkinWorkspace::new();
         let mut setup = SpOpStats::default();
         let mut levels: Vec<Level> = Vec::new();
         let mut current = a;
@@ -160,29 +128,24 @@ impl Hierarchy {
                 }
             };
             let r = p.transpose();
-            let rap = triple_product_ws(&r, &current, &p, policy.chunks.max(1), ws);
+            let rap = triple_product_ws(&r, &current, &p, spgemm_chunks(), &mut ws);
             accumulate(&mut setup, &rap.stats);
-            let sell = prepare(&current);
             levels.push(Level {
                 a: current,
                 p: Some(p),
                 r: Some(r),
-                sell,
             });
             current = rap.product;
         }
         let coarse_lu = DenseLu::factor(&current);
-        let sell = prepare(&current);
         levels.push(Level {
             a: current,
             p: None,
             r: None,
-            sell,
         });
         Hierarchy {
             levels,
             config,
-            policy,
             setup_stats: setup,
             coarse_lu,
         }
@@ -466,37 +429,6 @@ mod tests {
         let small = Hierarchy::build(Csr::poisson2d(16, 16), HierarchyConfig::default());
         let large = Hierarchy::build(Csr::poisson2d(32, 32), HierarchyConfig::default());
         assert!(large.cycle_work().flops > 3.0 * small.cycle_work().flops);
-    }
-
-    #[test]
-    fn build_with_policy_and_workspace_is_bit_identical() {
-        let a = Csr::poisson2d(32, 32);
-        let base = Hierarchy::build(a.clone(), HierarchyConfig::default());
-        let mut ws = GalerkinWorkspace::new();
-        let sell_policy = KernelPolicy::sell();
-        // Reused workspace across rebuilds + a SELL policy: operators,
-        // transfers and setup stats must not move by a bit.
-        for _ in 0..2 {
-            let h =
-                Hierarchy::build_with(a.clone(), HierarchyConfig::default(), sell_policy, &mut ws);
-            assert_eq!(h.n_levels(), base.n_levels());
-            for (l, bl) in h.levels.iter().zip(&base.levels) {
-                assert_eq!(l.a, bl.a);
-                assert_eq!(l.p, bl.p);
-                assert_eq!(l.r, bl.r);
-                assert!(l.sell.is_some(), "SELL policy must prepare views");
-            }
-            assert_eq!(h.setup_stats(), base.setup_stats());
-            // Cycles through the SELL views match the CSR hierarchy.
-            let b: Vec<f64> = (0..1024).map(|i| ((i % 11) as f64) - 5.0).collect();
-            let mut x_csr = vec![0.0; 1024];
-            let mut x_sell = vec![0.0; 1024];
-            for _ in 0..3 {
-                crate::cycle::kcycle(&base, 0, &b, &mut x_csr);
-                crate::cycle::kcycle(&h, 0, &b, &mut x_sell);
-            }
-            assert_eq!(x_csr, x_sell);
-        }
     }
 
     #[test]

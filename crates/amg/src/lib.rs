@@ -45,6 +45,6 @@ pub use cycle::{
     CycleViolation, GuardedCycle,
 };
 pub use hierarchy::{Hierarchy, HierarchyConfig, InterpKind, Level};
-pub use pcg::{pcg, pcg_with, CgConfig, CgOutcome, Preconditioner};
+pub use pcg::{pcg, CgConfig, CgOutcome, Preconditioner};
 pub use profile::{profile_vcycles, CycleProfiler};
 pub use smoother::{Smoother, SweepScratch};

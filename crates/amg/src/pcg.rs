@@ -4,8 +4,10 @@
 //! solved by CG with an aggregate-AMG preconditioner; this module is the
 //! reproduction of that solver, with pluggable preconditioning so the
 //! paper's comparisons (plain vs Jacobi vs AMG-V vs AMG-K) can be run.
+//! The matvec is [`Csr::spmv`] on the global pool, the kernel the
+//! cycles use.
 
-use cpx_sparse::{Csr, KernelPolicy, MatRef};
+use cpx_sparse::Csr;
 
 use crate::cycle::{kcycle, vcycle, wcycle, CycleType};
 use crate::hierarchy::Hierarchy;
@@ -64,32 +66,11 @@ pub fn pcg(
     precond: &Preconditioner<'_>,
     config: CgConfig,
 ) -> CgOutcome {
-    pcg_with(
-        MatRef::from_csr(a),
-        &KernelPolicy::current(),
-        b,
-        x,
-        precond,
-        config,
-    )
-}
-
-/// [`pcg`] over a layout-dispatched matrix view: the CG matvec runs
-/// through `policy` (e.g. a prepared SELL view), bit-identical to the
-/// CSR path for every policy.
-pub fn pcg_with(
-    a: MatRef<'_>,
-    policy: &KernelPolicy,
-    b: &[f64],
-    x: &mut [f64],
-    precond: &Preconditioner<'_>,
-    config: CgConfig,
-) -> CgOutcome {
     let n = a.nrows();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
 
-    let diag = a.csr().diag();
+    let diag = a.diag();
     let apply_prec = |r: &[f64]| -> Vec<f64> {
         match precond {
             Preconditioner::Identity => r.to_vec(),
@@ -111,7 +92,7 @@ pub fn pcg_with(
     };
 
     let mut ax = vec![0.0; n];
-    a.spmv_p(policy, x, &mut ax);
+    a.spmv(x, &mut ax);
     let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
     let b_norm = norm2(b).max(f64::MIN_POSITIVE);
     let mut history = Vec::new();
@@ -134,7 +115,7 @@ pub fn pcg_with(
 
     while iters < config.max_iters {
         let mut ap = vec![0.0; n];
-        a.spmv_p(policy, &p, &mut ap);
+        a.spmv(&p, &mut ap);
         let pap = dot(&p, &ap);
         if pap <= 0.0 {
             // Not SPD along p (or converged to roundoff); stop.

@@ -68,8 +68,10 @@ const CHUNKS: usize = 8;
 /// Version of the `BENCH_kernels.json` schema (see EXPERIMENTS.md).
 const SCHEMA_VERSION: u32 = 2;
 
-/// SELL-C-σ parameters of the layout study — the library default
-/// ([`cpx_sparse::Layout::sell_default`]).
+/// SELL-C-σ parameters of the layout study. C=16 won the measured
+/// sweep: two cache lines of accumulators, wide enough to amortize the
+/// per-slot column base, narrow enough to stay in registers. σ=256
+/// sorts broadly enough for ragged AMG coarse operators.
 const SELL_C: usize = 16;
 const SELL_SIGMA: usize = 256;
 

@@ -28,7 +28,6 @@
 use cpx_bench::write_text;
 use cpx_obs::Json;
 use cpx_pressure::{run_stc, StcConfig, StcMode, StcOutcome};
-use cpx_sparse::KernelPolicy;
 
 /// Version of the `BENCH_stc.json` schema (see EXPERIMENTS.md).
 const SCHEMA_VERSION: u32 = 1;
@@ -88,10 +87,9 @@ fn main() {
             ..StcConfig::default()
         }
     };
-    let policy = KernelPolicy::sell();
 
-    let sync = run_stc(cfg, StcMode::Synchronous, policy);
-    let over = run_stc(cfg, StcMode::Overlapped, policy);
+    let sync = run_stc(cfg, StcMode::Synchronous);
+    let over = run_stc(cfg, StcMode::Overlapped);
 
     // The determinism contract: the organisation moves wall time only.
     let bit_identical = sync.field == over.field && sync.spray_pos == over.spray_pos;

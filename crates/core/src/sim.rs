@@ -411,8 +411,9 @@ fn coupled(
 /// *shrunk* allocation — the crashed instance's group redistributes the
 /// dead rank's cells over one fewer rank, ULFM-style, rather than
 /// aborting the whole coupled job. Dropped CU exchanges never stall the
-/// target: it re-applies its last-good mapping (the prefetch-search
-/// cache) and the staleness is counted. Injected silent corruptions are
+/// target: each is priced as one local interpolation pass on the CU's
+/// ranks, the cost of re-applying the last-good mapping, and the
+/// staleness is counted. Injected silent corruptions are
 /// detected and recovered under the scenario's
 /// [`SdcPolicy`](crate::sdc::SdcPolicy).
 ///

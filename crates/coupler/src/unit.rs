@@ -46,9 +46,6 @@ pub struct CouplerUnit {
     /// Remaps performed (sliding planes remap every step; steady state
     /// exactly once).
     pub remaps: u64,
-    /// Steps advanced on stale (last-good) data because the partner's
-    /// exchange never arrived.
-    pub stale_steps: u64,
 }
 
 impl CouplerUnit {
@@ -63,7 +60,6 @@ impl CouplerUnit {
             searcher: None,
             steps: 0,
             remaps: 0,
-            stale_steps: 0,
         };
         match kind {
             UnitKind::SteadyState { .. } => {
@@ -105,22 +101,6 @@ impl CouplerUnit {
                 stencil.donors[0] = d;
             }
             self.remaps += 1;
-        }
-    }
-
-    /// Advance one coupling step *without* fresh partner data — the
-    /// degraded path when the exchange payload was lost. The geometry
-    /// still moves (a sliding plane's rotor does not stop turning), but
-    /// the unit keeps its last-good stencils instead of re-searching,
-    /// and counts the staleness. A later [`CouplerUnit::step`] with real
-    /// data resynchronises.
-    pub fn step_stale(&mut self) {
-        self.steps += 1;
-        self.stale_steps += 1;
-        if let UnitKind::SlidingPlane { steps_per_rev } = self.kind {
-            let dtheta = std::f64::consts::TAU / steps_per_rev as f64;
-            self.side_b = self.side_b.rotated(-dtheta);
-            // No remap: the stale stencils are a reuse, not a search.
         }
     }
 
@@ -230,50 +210,16 @@ mod tests {
     }
 
     #[test]
-    fn stale_step_reuses_last_good_mapping() {
-        let (a, b) = plane_pair();
-        let mut unit = CouplerUnit::new(UnitKind::SlidingPlane { steps_per_rev: 24 }, a, b);
-        unit.step();
-        let good: Vec<usize> = unit.stencils.iter().map(|s| s.donors[0]).collect();
-
-        // Two lost exchanges: the unit keeps turning on stale stencils.
-        unit.step_stale();
-        unit.step_stale();
-        let stale: Vec<usize> = unit.stencils.iter().map(|s| s.donors[0]).collect();
-        assert_eq!(stale, good, "stale steps must reuse the last-good donors");
-        assert_eq!(unit.stale_steps, 2);
-        assert_eq!(unit.steps, 3);
-        assert_eq!(unit.remaps, 1, "stale steps are a reuse, not a remap");
-        // Transfers still work on the stale mapping.
-        let out = unit.transfer(&vec![2.0; unit.side_a.len()]);
-        assert!(out.iter().all(|&v| v == 2.0));
-
-        // Fresh data resynchronises: a real step searches again and the
-        // rotation-tracked mapping moves off the stale one.
-        unit.step();
-        assert_eq!(unit.remaps, 2);
-        let fresh: Vec<usize> = unit.stencils.iter().map(|s| s.donors[0]).collect();
-        assert_ne!(
-            fresh, good,
-            "24 ring positions in 4 steps must shift donors"
-        );
-    }
-
-    #[test]
     fn every_step_of_a_revolution_maps_to_the_reference_donors() {
-        // 512 targets, 96 steps a turn, a lost exchange every seventh
-        // step: after each real step every stencil holds the donor the
-        // unpruned, unseeded reference search finds on side B as it is.
+        // 512 targets, 96 steps a turn: after each step every stencil
+        // holds the donor the unpruned, unseeded reference search finds
+        // on side B as it is.
         let up = annulus_sector(6, 8, 64, 1.0, 2.0, 0.0, 1.0, std::f64::consts::TAU);
         let down = annulus_sector(6, 8, 64, 1.0, 2.0, 1.0, 1.0, std::f64::consts::TAU);
         let (a, b) = sliding_plane_pair(&up, &down);
         let reference = KdTree2::build(&a.surface_coords, Some(std::f64::consts::TAU));
         let mut unit = CouplerUnit::new(UnitKind::SlidingPlane { steps_per_rev: 96 }, a, b);
         for k in 0..96 {
-            if k % 7 == 3 {
-                unit.step_stale();
-                continue;
-            }
             unit.step();
             for (i, (s, &t)) in unit
                 .stencils
@@ -288,19 +234,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!((unit.steps, unit.stale_steps, unit.remaps), (96, 14, 82));
-    }
-
-    #[test]
-    fn steady_state_stale_step_only_counts() {
-        let m = annulus_sector(10, 4, 12, 1.0, 2.0, 0.0, 1.0, 1.0);
-        let a = overlap_interface(&m, 0.3, true);
-        let b = overlap_interface(&m, 0.3, true);
-        let mut unit = CouplerUnit::new(UnitKind::SteadyState { period: 20 }, a, b);
-        unit.step_stale();
-        assert_eq!((unit.steps, unit.stale_steps, unit.remaps), (1, 1, 1));
-        let out = unit.transfer(&vec![1.0; unit.side_a.len()]);
-        assert!(out.iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        assert_eq!((unit.steps, unit.remaps), (96, 96));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! forward-difference gradient ⇒ their composition is exactly the
 //! 7-point Laplacian), so projection annihilates interior divergence to
 //! solver tolerance — the correctness invariant the tests pin.
+//!
+//! Every SpMV of the solve, PCG's and the AMG cycles', is
+//! [`Csr::spmv`] on the global pool.
 
-use cpx_amg::{pcg_with, CgConfig, CycleType, Hierarchy, HierarchyConfig, Preconditioner};
-use cpx_sparse::spgemm::GalerkinWorkspace;
-use cpx_sparse::{Csr, KernelPolicy, LayoutMatrix};
+use cpx_amg::{pcg, CgConfig, CycleType, Hierarchy, HierarchyConfig, Preconditioner};
+use cpx_sparse::Csr;
 
 use crate::spray::SprayCloud;
 
@@ -22,11 +24,9 @@ pub struct MiniPressureSolver {
     pub n: usize,
     /// Cell-centred velocity.
     pub u: Vec<[f64; 3]>,
-    /// The Poisson operator and its AMG hierarchy.
+    /// The AMG hierarchy; its finest level is the Poisson operator the
+    /// PCG solve multiplies by, so the solver keeps no second copy.
     hierarchy: Hierarchy,
-    a: LayoutMatrix,
-    /// Kernel execution policy threaded through the pressure solve.
-    policy: KernelPolicy,
     /// The spray cloud.
     pub spray: SprayCloud,
     /// Iterations used by the last pressure solve.
@@ -36,25 +36,8 @@ pub struct MiniPressureSolver {
 impl MiniPressureSolver {
     /// Initialise with a swirling velocity field and an injected cloud.
     pub fn new(n: usize, droplets: usize, seed: u64) -> MiniPressureSolver {
-        MiniPressureSolver::new_with_policy(n, droplets, seed, KernelPolicy::current())
-    }
-
-    /// [`MiniPressureSolver::new`] with an explicit kernel policy: the
-    /// AMG hierarchy, its cycles and the CG matvec all dispatch
-    /// through it (a SELL layout prepares views at build time).
-    /// Every policy computes bit-identical fields.
-    pub fn new_with_policy(
-        n: usize,
-        droplets: usize,
-        seed: u64,
-        policy: KernelPolicy,
-    ) -> MiniPressureSolver {
         assert!(n >= 4);
-        let a = Csr::poisson3d(n, n, n);
-        let mut ws = GalerkinWorkspace::new();
-        let hierarchy =
-            Hierarchy::build_with(a.clone(), HierarchyConfig::default(), policy, &mut ws);
-        let a = LayoutMatrix::new(a, &policy);
+        let hierarchy = Hierarchy::build(Csr::poisson3d(n, n, n), HierarchyConfig::default());
         let idx = |i: usize, j: usize, k: usize| (i * n + j) * n + k;
         let mut u = vec![[0.0; 3]; n * n * n];
         for i in 0..n {
@@ -76,8 +59,6 @@ impl MiniPressureSolver {
             n,
             u,
             hierarchy,
-            a,
-            policy,
             spray: SprayCloud::inject(droplets, seed),
             last_pressure_iters: 0,
         }
@@ -142,9 +123,8 @@ impl MiniPressureSolver {
         let div = self.divergence();
         let rhs: Vec<f64> = div.iter().map(|d| -d).collect();
         let mut p = vec![0.0; rhs.len()];
-        let out = pcg_with(
-            self.a.as_ref(),
-            &self.policy,
+        let out = pcg(
+            &self.hierarchy.levels[0].a,
             &rhs,
             &mut p,
             &Preconditioner::Amg {
@@ -273,6 +253,28 @@ mod tests {
                 .flat_map(|v| v.iter())
                 .fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(max_u < 10.0, "velocity blew up: {max_u}");
+    }
+
+    #[test]
+    fn two_steps_keep_their_bits() {
+        // FNV-1a over each step's PCG iteration count, then the carrier
+        // field and the droplet positions: a change to any kernel's
+        // arithmetic or to the solve's iteration count moves it.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut s = MiniPressureSolver::new(10, 2_000, 5);
+        for _ in 0..2 {
+            s.step(0.01);
+            eat(s.last_pressure_iters as u64);
+        }
+        for v in s.u.iter().chain(&s.spray.pos) {
+            v.iter().for_each(|x| eat(x.to_bits()));
+        }
+        assert_eq!(hash, 0x5a2c_ace3_d11c_7bec, "state digest {hash:#018x}");
     }
 
     #[test]

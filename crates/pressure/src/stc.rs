@@ -7,7 +7,8 @@
 //! [`MiniPressureSolver`] run as two
 //! tasks of one `cpx-par` pool dispatch, meeting at a per-step fence
 //! (the pool join — the shared-window `MPI_Win_fence` of the paper's
-//! organisation).
+//! organisation). The solver is the one [`MiniPressureSolver::new`]
+//! builds, with the same CSR kernels every other caller runs.
 //!
 //! The overlap uses the same one-step staggering as the production
 //! split: each step the spray advances through the *previous* step's
@@ -26,7 +27,6 @@
 use std::time::Instant;
 
 use cpx_par::ParPool;
-use cpx_sparse::KernelPolicy;
 
 use crate::solver::MiniPressureSolver;
 use crate::spray::SprayCloud;
@@ -157,8 +157,8 @@ impl StepTask<'_> {
 /// Run `cfg.steps` staggered spray/solver steps in the given
 /// organisation. Both modes compute bit-identical states; only the
 /// schedule (and hence wall time) differs.
-pub fn run_stc(cfg: StcConfig, mode: StcMode, policy: KernelPolicy) -> StcOutcome {
-    let mut sim = MiniPressureSolver::new_with_policy(cfg.n, 0, cfg.seed, policy);
+pub fn run_stc(cfg: StcConfig, mode: StcMode) -> StcOutcome {
+    let mut sim = MiniPressureSolver::new(cfg.n, 0, cfg.seed);
     let mut cloud = SprayCloud::inject(cfg.droplets, cfg.seed);
     // Two workers regardless of `CPX_THREADS`: the task split is the
     // organisation under study, not data parallelism. (On a saturated
@@ -230,19 +230,15 @@ mod tests {
 
     #[test]
     fn organisations_are_bit_identical() {
-        let sync = run_stc(small(), StcMode::Synchronous, KernelPolicy::current());
-        let over = run_stc(small(), StcMode::Overlapped, KernelPolicy::current());
+        let sync = run_stc(small(), StcMode::Synchronous);
+        let over = run_stc(small(), StcMode::Overlapped);
         assert_eq!(sync.field, over.field);
         assert_eq!(sync.spray_pos, over.spray_pos);
-        // And a SELL policy changes nothing either.
-        let sell = run_stc(small(), StcMode::Overlapped, KernelPolicy::sell());
-        assert_eq!(sync.field, sell.field);
-        assert_eq!(sync.spray_pos, sell.spray_pos);
     }
 
     #[test]
     fn virtual_makespans_ordered() {
-        let out = run_stc(small(), StcMode::Synchronous, KernelPolicy::current());
+        let out = run_stc(small(), StcMode::Synchronous);
         assert_eq!(out.per_step.len(), 3);
         let serial = out.virtual_serial();
         let overlapped = out.virtual_overlapped();
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn staggered_spray_actually_moves() {
-        let out = run_stc(small(), StcMode::Overlapped, KernelPolicy::current());
+        let out = run_stc(small(), StcMode::Overlapped);
         let mean_x: f64 =
             out.spray_pos.iter().map(|p| p[0]).sum::<f64>() / out.spray_pos.len() as f64;
         let start = SprayCloud::inject(5_000, 11);

@@ -20,6 +20,9 @@
 //!   renumbering for distributed CSR after halo exchange;
 //! * [`csr::Csr::spmv_identity_top`] — SpMV exploiting an identity block
 //!   in reordered interpolation/restriction operators.
+//! * [`sell::SellCSigma`] — the SELL-C-σ layout, whose SpMV is
+//!   bit-identical to CSR's: a standalone kernel that `bench_kernels`
+//!   measures against CSR; no solver dispatches to it.
 //!
 //! It also provides the distribution machinery the solvers share:
 //! [`dist::DistCsr`] (row-block distributed CSR with halo exchange over
@@ -47,7 +50,6 @@ pub mod coo;
 pub mod csr;
 pub mod dist;
 pub mod partition;
-pub mod policy;
 pub mod renumber;
 pub mod sell;
 pub mod spgemm;
@@ -58,7 +60,6 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use dist::DistCsr;
 pub use partition::{greedy_graph_partition, rcb_partition, PartitionQuality};
-pub use policy::{KernelPolicy, Layout, LayoutMatrix, MatRef};
 pub use sell::{SellCSigma, SELL_MAX_C};
 
 /// Operation counts for a sparse kernel invocation, used to drive the

@@ -74,19 +74,15 @@ struct Chunk {
     narrow: bool,
 }
 
-/// A SELL-C-σ matrix built from (a row suffix of) a [`Csr`].
+/// A SELL-C-σ matrix built from a [`Csr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SellCSigma {
-    /// Rows covered (the CSR's `nrows - row_base`).
     nrows: usize,
     ncols: usize,
     nnz: usize,
     c: usize,
     sigma: usize,
-    /// First covered CSR row (0 for a full matrix; `k` for the tail of
-    /// an identity-top operator). `perm` and outputs are relative to it.
-    row_base: usize,
-    /// Lane → covered-row index (relative to `row_base`).
+    /// Lane → row index.
     perm: Vec<u32>,
     chunks: Vec<Chunk>,
     /// Per window, the index of its first chunk (length `nwindows + 1`).
@@ -103,31 +99,19 @@ pub struct SellCSigma {
 }
 
 impl SellCSigma {
-    /// Build from a full CSR matrix. `c` is clamped to
-    /// `1..=`[`SELL_MAX_C`]; `sigma` is clamped to at least `c`.
+    /// Build from a CSR matrix. `c` is clamped to `1..=`[`SELL_MAX_C`];
+    /// `sigma` is clamped to at least `c`.
     pub fn from_csr(a: &Csr, c: usize, sigma: usize) -> SellCSigma {
-        SellCSigma::from_csr_rows(a, 0, c, sigma)
-    }
-
-    /// Build over the tail rows `k..nrows` of an identity-top operator
-    /// (§IV-B reordered interpolation): the resulting matrix has
-    /// `nrows() == a.nrows() - k` and its SpMV writes the tail of `y`.
-    pub fn from_csr_tail(a: &Csr, k: usize, c: usize, sigma: usize) -> SellCSigma {
-        assert!(k <= a.nrows(), "from_csr_tail: k out of range");
-        SellCSigma::from_csr_rows(a, k, c, sigma)
-    }
-
-    fn from_csr_rows(a: &Csr, row_base: usize, c: usize, sigma: usize) -> SellCSigma {
         let c = c.clamp(1, SELL_MAX_C);
         let sigma = sigma.max(c);
-        let nrows = a.nrows() - row_base;
+        let nrows = a.nrows();
         let ncols = a.ncols();
         let rowptr = a.rowptr();
-        let row_len = |r: usize| rowptr[row_base + r + 1] - rowptr[row_base + r];
+        let row_len = |r: usize| rowptr[r + 1] - rowptr[r];
         // The unchecked gathers in `spmv_with` lean on every stored
         // column being in range; a release-mode CSR is only
         // debug-asserted, so re-verify here, once, at build time.
-        for &col in &a.colidx()[rowptr[row_base]..] {
+        for &col in a.colidx() {
             assert!(col < ncols, "SellCSigma: column {col} out of range {ncols}");
         }
 
@@ -165,7 +149,7 @@ impl SellCSigma {
                         .take_while(|&&r| row_len(r as usize) > s)
                         .count()
                 };
-                let col_at = |r: u32, s: usize| a.colidx()[rowptr[row_base + r as usize] + s];
+                let col_at = |r: u32, s: usize| a.colidx()[rowptr[r as usize] + s];
 
                 // Mode probe: compressed iff every slot's columns stay
                 // within 255 of the slot's minimum.
@@ -192,12 +176,12 @@ impl SellCSigma {
                         slot_bases.push(mn as u32);
                         for &r in &chunk_lanes[..active] {
                             col_offs.push((col_at(r, s) - mn) as u8);
-                            vals.push(a.vals()[rowptr[row_base + r as usize] + s]);
+                            vals.push(a.vals()[rowptr[r as usize] + s]);
                         }
                     } else {
                         for &r in &chunk_lanes[..active] {
                             cols_u32.push(col_at(r, s) as u32);
-                            vals.push(a.vals()[rowptr[row_base + r as usize] + s]);
+                            vals.push(a.vals()[rowptr[r as usize] + s]);
                         }
                     }
                 }
@@ -226,7 +210,6 @@ impl SellCSigma {
             nnz: vals.len(),
             c,
             sigma,
-            row_base,
             perm,
             chunks,
             window_chunk_off,
@@ -238,7 +221,7 @@ impl SellCSigma {
         }
     }
 
-    /// Rows covered by this layout.
+    /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -269,12 +252,6 @@ impl SellCSigma {
         self.sigma
     }
 
-    /// First covered CSR row (`k` for a tail layout, else 0).
-    #[inline]
-    pub fn row_base(&self) -> usize {
-        self.row_base
-    }
-
     /// Fraction of entries whose columns use the compressed
     /// base-plus-`u8` encoding (1.0 for stencil-like matrices).
     pub fn narrow_fraction(&self) -> f64 {
@@ -301,7 +278,7 @@ impl SellCSigma {
         }
     }
 
-    /// `y = A x`, bit-identical to [`Csr::spmv`] on the covered rows.
+    /// `y = A x`, bit-identical to [`Csr::spmv`].
     /// Runs on the global pool with granularity limiting.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) -> SpOpStats {
         let pool = ParPool::current().limited(self.nnz);
@@ -309,8 +286,7 @@ impl SellCSigma {
     }
 
     /// [`SellCSigma::spmv`] on an explicit pool split into `parts`
-    /// window-aligned tasks. `y` covers only the rows of this layout
-    /// (the tail slice for a [`SellCSigma::from_csr_tail`] build).
+    /// window-aligned tasks.
     pub fn spmv_with(&self, pool: &ParPool, parts: usize, x: &[f64], y: &mut [f64]) -> SpOpStats {
         assert_eq!(x.len(), self.ncols, "sell spmv: x length");
         assert_eq!(y.len(), self.nrows, "sell spmv: y length");
@@ -338,7 +314,7 @@ impl SellCSigma {
     }
 
     /// The serial kernel over a chunk range. `y_base` is the first
-    /// covered-row index `y` is offset by (window-aligned partitions).
+    /// row index `y` is offset by (window-aligned partitions).
     /// Dispatches to a monomorphised body for the common chunk heights
     /// so the dense-block loop has a compile-time trip count.
     fn spmv_chunks(&self, chunk_range: Range<usize>, x: &[f64], y: &mut [f64], y_base: usize) {
@@ -635,32 +611,6 @@ mod tests {
         let a = Csr::poisson3d(8, 8, 8);
         let sell = SellCSigma::from_csr(&a, 8, 64);
         assert_eq!(sell.narrow_fraction(), 1.0);
-    }
-
-    #[test]
-    fn sell_tail_matches_identity_top() {
-        let mut coo = Coo::new(6, 3);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        coo.push(2, 2, 1.0);
-        coo.push(3, 0, 0.5);
-        coo.push(3, 2, 0.5);
-        coo.push(4, 1, 0.25);
-        coo.push(5, 0, 0.125);
-        coo.push(5, 1, 0.25);
-        coo.push(5, 2, 0.5);
-        let a = coo.to_csr();
-        let k = 3;
-        let x = vec![2.0, -4.0, 8.0];
-        let mut want = vec![0.0; 6];
-        a.spmv_identity_top(k, &x, &mut want);
-        let tail = SellCSigma::from_csr_tail(&a, k, 2, 4);
-        assert_eq!(tail.nrows(), 3);
-        assert_eq!(tail.row_base(), k);
-        let mut y = vec![0.0; 6];
-        y[..k].copy_from_slice(&x[..k]);
-        tail.spmv_with(&ParPool::serial(), 1, &x, &mut y[k..]);
-        assert_eq!(y, want);
     }
 
     #[test]

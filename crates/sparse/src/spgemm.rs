@@ -154,123 +154,17 @@ pub fn spgemm_spa(a: &Csr, b: &Csr, chunks: usize) -> SpGemmResult {
     spgemm_spa_with(&pool, a, b, chunks)
 }
 
-/// SPA scratch: dense accumulator + row-stamped marker + touched list.
-struct Spa {
-    acc: Vec<f64>,
-    marker: Vec<usize>,
-    touched: Vec<usize>,
-}
-
-impl Spa {
-    fn new(m: usize) -> Spa {
-        Spa {
-            acc: vec![0.0f64; m],
-            marker: vec![usize::MAX; m],
-            touched: Vec::new(),
-        }
-    }
-}
-
-/// One chunk of SPA rows: returns the private per-chunk CSR pieces
-/// (`rp` relative to the chunk, `ci`/`va` concatenated in row order).
-fn spa_rows(
-    a: &Csr,
-    b: &Csr,
-    rows: std::ops::Range<usize>,
-    spa: &mut Spa,
-) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    let mut rp = Vec::with_capacity(rows.len() + 1);
-    rp.push(0usize);
-    let mut ci: Vec<usize> = Vec::new();
-    let mut va: Vec<f64> = Vec::new();
-    for r in rows {
-        spa.touched.clear();
-        let (acols, avals) = a.row(r);
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k);
-            for (&c, &bv) in bcols.iter().zip(bvals) {
-                if spa.marker[c] != r {
-                    spa.marker[c] = r;
-                    spa.acc[c] = av * bv;
-                    spa.touched.push(c);
-                } else {
-                    spa.acc[c] += av * bv;
-                }
-            }
-        }
-        spa.touched.sort_unstable();
-        for &c in &spa.touched {
-            ci.push(c);
-            va.push(spa.acc[c]);
-        }
-        rp.push(ci.len());
-    }
-    (rp, ci, va)
-}
-
 /// [`spgemm_spa`] on an explicit pool: chunks run on the pool's workers
-/// (per-worker SPA scratch), or serially reusing one scratch when the
-/// pool is serial. Bit-identical for any pool and chunk count.
+/// (one [`SpaWorkspace`] slot each), or serially through one slot when
+/// the pool is serial. Bit-identical for any pool and chunk count.
 pub fn spgemm_spa_with(pool: &ParPool, a: &Csr, b: &Csr, chunks: usize) -> SpGemmResult {
-    check_dims(a, b);
-    let chunks = chunks.max(1);
-    let n = a.nrows();
-    let m = b.ncols();
-
-    // Per-chunk private outputs (rows are block-distributed to chunks).
-    let ranges = chunk_ranges(n, chunks);
-    let chunk_parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> = if pool.threads() <= 1 {
-        // Serial fast path: one SPA scratch reused across all chunks.
-        let mut spa = Spa::new(m);
-        ranges
-            .iter()
-            .map(|r| spa_rows(a, b, r.clone(), &mut spa))
-            .collect()
-    } else {
-        pool.map(chunks, |c| {
-            let mut spa = Spa::new(m);
-            spa_rows(a, b, ranges[c].clone(), &mut spa)
-        })
-    };
-
-    // Concatenate the disjoint chunk results into contiguous CSR.
-    let nnz: usize = chunk_parts.iter().map(|(_, ci, _)| ci.len()).sum();
-    let mut rowptr = Vec::with_capacity(n + 1);
-    rowptr.push(0usize);
-    let mut colidx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for (rp, ci, va) in &chunk_parts {
-        let base = colidx.len();
-        for w in rp.windows(2) {
-            rowptr.push(base + w[1]);
-        }
-        colidx.extend_from_slice(ci);
-        vals.extend_from_slice(va);
-    }
-    // Rows beyond the last chunk boundary (when n == 0 edge case).
-    while rowptr.len() < n + 1 {
-        rowptr.push(colidx.len());
-    }
-
-    let work = multiply_work(a, b);
-    let read_once = (a.nnz() + b.nnz()) as f64 * 16.0 + (a.nrows() + b.nrows()) as f64 * 8.0;
-    let stats = SpOpStats {
-        flops: 2.0 * work,
-        bytes_read: read_once,
-        // Output written once into chunks, then copied contiguous.
-        bytes_written: 2.0 * nnz as f64 * 16.0,
-        input_passes: 1,
-    };
-    SpGemmResult {
-        product: Csr::from_raw(n, m, rowptr, colidx, vals),
-        stats,
-    }
+    spgemm_spa_ws(pool, a, b, chunks, &mut SpaWorkspace::new())
 }
 
-/// Reusable SPA scratch arena: one `Spa`-shaped slot per chunk plus
-/// per-chunk output buffers, all retained across calls so steady-state
-/// SpGEMMs (the AMG hierarchy rebuild path) allocate nothing once the
-/// high-water capacities are reached.
+/// Reusable SPA scratch arena: one slot per chunk, each a dense
+/// accumulator, a marker and a touched list plus that chunk's output
+/// buffers, all retained across calls so steady-state SpGEMMs allocate
+/// nothing once the high-water capacities are reached.
 ///
 /// Markers are epoch-stamped: instead of re-filling `marker` with
 /// `usize::MAX` per call (an O(m) write that would defeat reuse), each
@@ -357,7 +251,6 @@ impl SpaSlot {
 /// reusable [`SpaWorkspace`]: the zero-allocation steady-state form.
 /// Output vectors are cleared and refilled (capacity is retained);
 /// result bits and modelled stats are identical to [`spgemm_spa`].
-#[allow(clippy::too_many_arguments)]
 pub fn spgemm_spa_reuse(
     pool: &ParPool,
     a: &Csr,
@@ -536,9 +429,9 @@ pub fn triple_product(r: &Csr, a: &Csr, p: &Csr, chunks: usize) -> SpGemmResult 
     triple_product_ws(r, a, p, chunks, &mut GalerkinWorkspace::new())
 }
 
-/// Scratch for the Galerkin rebuild path: the SPA arena plus the raw
-/// arrays of the intermediate `A·P` product, so a hierarchy rebuilt
-/// every outer step reuses all of its setup-phase allocations.
+/// Scratch for Galerkin triple products: the SPA arena plus the raw
+/// arrays of the intermediate `A·P` product, so a hierarchy build
+/// reuses its setup-phase allocations across its levels.
 #[derive(Debug, Default)]
 pub struct GalerkinWorkspace {
     /// SPA slots shared by both multiplies.
@@ -733,24 +626,28 @@ mod tests {
         let a = random_csr(40, 35, 5, 11);
         let b = random_csr(35, 50, 4, 12);
         let c = random_csr(50, 40, 3, 13);
-        let want_ab = spgemm_spa(&a, &b, 4);
-        let want_cb = spgemm_spa(&c, &a, 2);
+        // Products from the independent two-pass algorithm; stats from
+        // a fresh workspace.
+        let want_ab = spgemm_twopass(&a, &b).product;
+        let want_cb = spgemm_twopass(&c, &a).product;
         let mut ws = SpaWorkspace::new();
         let mut rp = Vec::new();
         let mut ci = Vec::new();
         let mut va = Vec::new();
         for pool in [ParPool::serial(), ParPool::with_threads(4)] {
+            let fresh_ab = spgemm_spa_ws(&pool, &a, &b, 4, &mut SpaWorkspace::new()).stats;
+            let fresh_cb = spgemm_spa_ws(&pool, &c, &a, 2, &mut SpaWorkspace::new()).stats;
             // Same workspace across different shapes and repeated calls:
             // stale stamps/capacity must never leak into results.
             for _ in 0..3 {
                 let st = spgemm_spa_reuse(&pool, &a, &b, 4, &mut ws, &mut rp, &mut ci, &mut va);
                 let got = Csr::from_raw(40, 50, rp.clone(), ci.clone(), va.clone());
-                assert_eq!(got, want_ab.product);
-                assert_eq!(st, want_ab.stats);
+                assert_eq!(got, want_ab);
+                assert_eq!(st, fresh_ab);
                 let st = spgemm_spa_reuse(&pool, &c, &a, 2, &mut ws, &mut rp, &mut ci, &mut va);
                 let got = Csr::from_raw(50, 35, rp.clone(), ci.clone(), va.clone());
-                assert_eq!(got, want_cb.product);
-                assert_eq!(st, want_cb.stats);
+                assert_eq!(got, want_cb);
+                assert_eq!(st, fresh_cb);
             }
         }
     }

@@ -115,21 +115,4 @@ proptest! {
         sell.spmv(&x, &mut y);
         prop_assert_eq!(&y, &expected);
     }
-
-    #[test]
-    fn sell_tail_view_matches_full_spmv_tail(
-        a in arb_csr(30, 150),
-        c in 1usize..(SELL_MAX_C + 1),
-        sigma in 1usize..32,
-        knum in 0usize..100,
-    ) {
-        let k = knum % (a.nrows() + 1);
-        let tail = SellCSigma::from_csr_tail(&a, k, c, sigma);
-        prop_assert_eq!(tail.nrows(), a.nrows() - k);
-        let x: Vec<f64> = (0..a.ncols()).map(|i| 0.25 * i as f64 - 1.0).collect();
-        let expected = csr_reference(&a, &x);
-        let mut y = vec![0.0; a.nrows() - k];
-        tail.spmv(&x, &mut y);
-        prop_assert_eq!(&y[..], &expected[k..]);
-    }
 }
