@@ -27,9 +27,7 @@ use cpx_obs::{NetStats, NodeObs, TraceSession, WallRecorder};
 
 use crate::fault::FaultPlan;
 use crate::net::NetMesh;
-use crate::runtime::{
-    install_quiet_fault_hook, run_endpoints, CommEvent, RankCtx, RankRun, Registry,
-};
+use crate::runtime::{install_quiet_fault_hook, run_endpoints, CommEvent, RankCtx, RankRun};
 use crate::transport::Transport;
 
 /// The one configuration every process of a distributed run shares.
@@ -54,6 +52,11 @@ impl ClusterConfig {
     /// `nodes` processes listening on `base_port..base_port+nodes`.
     pub fn local(world_size: usize, nodes: usize, base_port: u16, seed: u64) -> ClusterConfig {
         assert!(nodes >= 1 && world_size >= nodes, "need >= 1 rank per node");
+        assert!(
+            ports_fit(base_port, nodes),
+            "ports {base_port}..={} pass 65535",
+            usize::from(base_port) + (nodes - 1)
+        );
         let per = world_size / nodes;
         let extra = world_size % nodes;
         let mut node_ranks = Vec::with_capacity(nodes);
@@ -65,7 +68,7 @@ impl ClusterConfig {
         }
         ClusterConfig {
             addrs: (0..nodes)
-                .map(|i| format!("127.0.0.1:{}", base_port + i as u16))
+                .map(|i| format!("127.0.0.1:{}", usize::from(base_port) + i))
                 .collect(),
             node_ranks,
             seed,
@@ -219,7 +222,6 @@ where
         world_size,
         endpoints,
         Arc::new(plan),
-        Arc::new(Registry::default()),
         opts.traced,
         logged,
         Arc::new(f),
@@ -262,6 +264,15 @@ where
     Ok((NodeRun { ranks, runs, log }, obs))
 }
 
+/// Whether the `count` consecutive ports `base, base + 1, …` all fit in
+/// a `u16`. The multi-process binaries check their port ranges with it
+/// before spawning any child.
+pub fn ports_fit(base: u16, count: usize) -> bool {
+    usize::from(base)
+        .checked_add(count)
+        .is_some_and(|end| end <= 1 << 16)
+}
+
 /// Reserve `n` distinct free loopback TCP ports.
 ///
 /// Binds `n` listeners on port 0, records the kernel-assigned ports,
@@ -294,5 +305,22 @@ mod tests {
         assert_eq!(cfg.node_of(7), Some(2));
         assert_eq!(cfg.node_of(8), None);
         assert_eq!(cfg.addrs[2], "127.0.0.1:9102");
+    }
+
+    #[test]
+    #[should_panic(expected = "ports 65534..=65536 pass 65535")]
+    fn local_config_rejects_ports_past_u16() {
+        ClusterConfig::local(8, 3, 65534, 0);
+    }
+
+    #[test]
+    fn ports_fit_stops_at_65535() {
+        assert!(ports_fit(65532, 4));
+        assert!(!ports_fit(65533, 4));
+        assert!(!ports_fit(65535, 2));
+        assert!(ports_fit(65535, 0));
+        assert!(ports_fit(23800, 10_434 * 4));
+        assert!(!ports_fit(23800, 10_435 * 4));
+        assert!(!ports_fit(0, usize::MAX));
     }
 }

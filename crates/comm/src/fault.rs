@@ -212,12 +212,6 @@ pub struct FaultPlan {
     /// (silent data corruption on the link; caught by the payload CRC at
     /// the receiver and surfaced as [`CommError::Corrupted`]).
     pub corrupt_prob: f64,
-    /// Seeded in-memory bit-flip injector for SDC experiments, if the
-    /// plan models memory corruption as well as link corruption. The
-    /// runtime never touches application state; mini-apps and studies
-    /// take it from the plan they built and strike their own arrays with
-    /// it.
-    pub mem_corrupt: Option<BitFlipInjector>,
     /// Transient degradation windows (apply to all links).
     pub degradations: Vec<LinkDegradation>,
     /// Virtual seconds between a crash and surviving ranks being able to
@@ -254,7 +248,6 @@ impl FaultPlan {
             delay_prob: 0.0,
             delay_secs: 0.0,
             corrupt_prob: 0.0,
-            mem_corrupt: None,
             degradations: Vec::new(),
             detect_latency: 1e-4,
         }
@@ -299,15 +292,6 @@ impl FaultPlan {
         self
     }
 
-    /// Attach a seeded memory-corruption injector (see
-    /// [`BitFlipInjector`]): each application-level site strikes with
-    /// probability `prob`, flipping one bit of the value stored there.
-    pub fn with_memory_corruption(mut self, prob: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob));
-        self.mem_corrupt = Some(BitFlipInjector::new(self.seed, prob));
-        self
-    }
-
     /// Add a transient link-degradation window.
     pub fn with_degradation(mut self, window: LinkDegradation) -> FaultPlan {
         assert!(window.from <= window.until, "degradation window inverted");
@@ -338,7 +322,6 @@ impl FaultPlan {
             && self.dup_prob == 0.0
             && self.delay_prob == 0.0
             && self.corrupt_prob == 0.0
-            && self.mem_corrupt.is_none()
             && self.degradations.is_empty()
     }
 
@@ -625,16 +608,6 @@ mod tests {
             BitFlipInjector::flip(BitFlipInjector::flip(v, 17), 17).to_bits(),
             v.to_bits()
         );
-    }
-
-    #[test]
-    fn memory_corruption_attaches_to_plan() {
-        let plan = FaultPlan::new(5).with_memory_corruption(0.01);
-        assert!(!plan.is_trivial());
-        let inj = plan.mem_corrupt.expect("injector attached");
-        assert_eq!(inj.seed, 5);
-        assert_eq!(inj.prob, 0.01);
-        assert!(FaultPlan::new(5).mem_corrupt.is_none());
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //!   allgather, alltoallv) implemented as binomial-tree / ring algorithms
 //!   over point-to-point messages, so their cost *emerges* from the same
 //!   p2p model the trace replayer uses.
-//! * [`window::Window`] provides MPI-3 style shared-memory windows used
-//!   by the asynchronous spray/solver optimization of §IV-A.
 //!
 //! Functional runs validate the numerics and the communication patterns;
 //! the scaling figures use the trace replayer in `cpx-machine`, which is
@@ -77,27 +75,23 @@ pub mod cluster;
 pub mod fault;
 pub mod group;
 pub mod net;
-pub mod nonblocking;
 pub mod payload;
 pub mod protocol;
 pub mod resilient;
 pub mod runtime;
 pub mod transport;
-pub mod window;
 
 pub use backoff::BackoffPolicy;
-pub use cluster::{free_ports, run_node_obs, ClusterConfig, NodeObsOptions, NodeRun};
+pub use cluster::{free_ports, ports_fit, run_node_obs, ClusterConfig, NodeObsOptions, NodeRun};
 pub use fault::{BitFlipInjector, CommError, FaultPlan, LinkDegradation};
 pub use group::Group;
 pub use net::TcpTransport;
-pub use nonblocking::{irecv, isend, wait_all, RecvRequest};
 pub use payload::Payload;
 pub use resilient::{resilient_loop, ResilientConfig, ResilientReport};
 pub use runtime::{
     CollectiveOp, CommEvent, CommEventKind, RankCtx, RankOutcome, RankRun, TimeReport, World,
 };
 pub use transport::{Packet, RecvPoll, Transport};
-pub use window::Window;
 
 /// Reduction operators for collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

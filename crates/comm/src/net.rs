@@ -28,13 +28,6 @@
 //! CRC, or does not decode is **connection-fatal, never a panic**: the
 //! reader drops the stream and the failure detector handles the rest,
 //! exactly as it would for a crashed peer.
-//!
-//! # Limitations
-//!
-//! Shared-memory [`crate::window::Window`]s rendezvous through a
-//! process-local registry and therefore only work between ranks on the
-//! same node; programs using windows across the whole world must run on
-//! the in-process backend (or keep window peers co-resident).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};

@@ -37,7 +37,6 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use cpx_machine::{KernelCost, Machine};
@@ -66,13 +65,6 @@ const TIMEOUT_WALL_BUDGET: Duration = Duration::from_millis(250);
 /// With any drop probability < 1 the retry loop terminates long before
 /// this; the cap only guards pathological plans.
 const MAX_SEND_ATTEMPTS: u64 = 64;
-
-/// Rendezvous registry for shared-memory windows (and anything else that
-/// needs cross-rank shared state keyed by a deterministic id).
-#[derive(Default)]
-pub(crate) struct Registry {
-    pub(crate) map: Mutex<HashMap<u128, Arc<dyn Any + Send + Sync>>>,
-}
 
 /// Virtual-time accounting for one rank, returned by [`World::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -274,7 +266,6 @@ pub struct RankCtx {
     /// Communication event log (`Some` only under a `*_logged` entry
     /// point, so unlogged runs pay nothing).
     log: Option<Vec<CommEvent>>,
-    pub(crate) registry: Arc<Registry>,
 }
 
 impl RankCtx {
@@ -1002,7 +993,7 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan_inner(n, plan, false, false, f).0
+        self.run_with_plan_full(n, plan, false, false, f).0
     }
 
     /// [`World::run_with_plan`] with communication event logging on:
@@ -1026,30 +1017,6 @@ impl World {
         (runs, log)
     }
 
-    /// [`World::run`] with span recording on: also returns the
-    /// [`TraceSession`] of virtual-time spans and counters (one lane per
-    /// rank). Deterministic: same program + seed ⇒ identical session.
-    pub fn run_traced<T, F>(&self, n: usize, f: F) -> (Vec<(T, TimeReport)>, TraceSession)
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        let (runs, session) = self.run_with_plan_inner(n, FaultPlan::default(), true, false, f);
-        let results = runs
-            .into_iter()
-            .enumerate()
-            .map(|(rank, run)| match run.outcome {
-                RankOutcome::Completed(t) => (t, run.report),
-                RankOutcome::Panicked(payload) => panic::resume_unwind(payload),
-                RankOutcome::Failed(e) => panic!("rank {rank} failed: {e}"),
-                RankOutcome::Crashed { at } => {
-                    panic!("rank {rank} crashed at t={at:.6}s (fault plan)")
-                }
-            })
-            .collect();
-        (results, session)
-    }
-
     /// [`World::run_with_plan`] with span recording on. Crashed and
     /// aborted ranks keep their partial timeline (spans open at death
     /// are closed at the death clock).
@@ -1063,22 +1030,7 @@ impl World {
         T: Send + 'static,
         F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
     {
-        self.run_with_plan_inner(n, plan, true, false, f)
-    }
-
-    fn run_with_plan_inner<T, F>(
-        &self,
-        n: usize,
-        plan: FaultPlan,
-        traced: bool,
-        logged: bool,
-        f: F,
-    ) -> (Vec<RankRun<T>>, TraceSession)
-    where
-        T: Send + 'static,
-        F: Fn(&mut RankCtx) -> T + Send + Sync + 'static,
-    {
-        let (runs, session, _) = self.run_with_plan_full(n, plan, traced, logged, f);
+        let (runs, session, _) = self.run_with_plan_full(n, plan, true, false, f);
         (runs, session)
     }
 
@@ -1114,7 +1066,6 @@ impl World {
             n,
             endpoints,
             Arc::new(plan),
-            Arc::new(Registry::default()),
             traced,
             logged,
             Arc::new(f),
@@ -1148,7 +1099,6 @@ pub(crate) fn run_endpoints<T, F>(
     world_size: usize,
     endpoints: Vec<(usize, Box<dyn Transport>)>,
     plan: Arc<FaultPlan>,
-    registry: Arc<Registry>,
     traced: bool,
     logged: bool,
     f: Arc<F>,
@@ -1160,7 +1110,6 @@ where
     let mut handles = Vec::with_capacity(endpoints.len());
     for (rank, transport) in endpoints {
         let machine = Arc::clone(&machine);
-        let registry = Arc::clone(&registry);
         let plan = Arc::clone(&plan);
         let f = Arc::clone(&f);
         let handle = std::thread::Builder::new()
@@ -1193,7 +1142,6 @@ where
                     send_seq: HashMap::new(),
                     obs,
                     log: if logged { Some(Vec::new()) } else { None },
-                    registry,
                 };
                 let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
                 let outcome = match result {
@@ -1392,6 +1340,44 @@ mod tests {
         })[129]
             .0;
         assert!(inter > intra, "inter {inter} intra {intra}");
+    }
+
+    #[test]
+    fn overlap_hides_transfer_time() {
+        // Rank 0 sends a large message at t=0; rank 1 computes for a
+        // virtual second before receiving it. The receive costs ~nothing
+        // because the transfer happened "during" the compute.
+        let res = world().run(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.send(1, 0, vec![0.0f64; 1 << 18]); // 2 MiB
+                0.0
+            } else {
+                ctx.compute(KernelCost::flops(2.2e9)); // 1 virtual second
+                let t0 = ctx.now();
+                let _ = ctx.recv(0, 0);
+                ctx.now() - t0
+            }
+        });
+        // The 2 MiB transfer takes ~1.4 ms on the intra-node link — far
+        // less than the 1 s compute, so fully hidden.
+        assert!(res[1].0 < 1e-3, "receive cost {}", res[1].0);
+    }
+
+    #[test]
+    fn blocking_receive_pays_the_transfer() {
+        // Same exchange with the sender busy first: the receiver waits.
+        let res = world().run(2, |ctx| {
+            if ctx.rank() == 0 {
+                ctx.compute(KernelCost::flops(2.2e9)); // sender busy 1 s
+                ctx.send(1, 0, vec![0.0f64; 1 << 18]);
+                0.0
+            } else {
+                let t0 = ctx.now();
+                let _ = ctx.recv(0, 0);
+                ctx.now() - t0
+            }
+        });
+        assert!(res[1].0 > 0.9, "blocking wait {}", res[1].0);
     }
 
     // ---------------------------------------------------------------

@@ -80,7 +80,11 @@ proptest! {
 
     #[test]
     fn spans_are_well_formed_on_clean_runs(n in 2usize..6, iters in 1usize..6) {
-        let (_, session) = world().run_traced(n, traced_workout(iters));
+        let (runs, session) =
+            world().run_with_plan_traced(n, FaultPlan::default(), traced_workout(iters));
+        for run in &runs {
+            prop_assert!(run.outcome.is_completed(), "{:?}", run.outcome);
+        }
         assert_well_formed(&session);
         prop_assert!(session.total_spans() > 0);
         prop_assert_eq!(session.lanes.len(), n);

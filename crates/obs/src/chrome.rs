@@ -15,11 +15,6 @@
 //! with its protocol details in `args`, so a chaos run's recovery
 //! sequence is visually replayable next to the rank lanes.
 //!
-//! Exporters write into any [`std::io::Write`] sink
-//! ([`chrome_trace_to`], [`dual_chrome_trace_to`]) so multi-megabyte
-//! cluster traces stream straight to a file; the `*_json` variants are
-//! thin build-a-`String` wrappers for existing callers.
-//!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::io::{self, Write};
@@ -37,8 +32,8 @@ pub fn chrome_trace_json(session: &TraceSession) -> String {
     to_string(|out| chrome_trace_to(out, session))
 }
 
-/// Stream a session as Chrome trace-event JSON into `out`.
-pub fn chrome_trace_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Result<()> {
+/// The writer behind [`chrome_trace_json`].
+fn chrome_trace_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Result<()> {
     let mut first = true;
     out.write_all(b"{\"traceEvents\":[\n")?;
     push_session_events(out, &mut first, session, 1, None)?;
@@ -54,8 +49,8 @@ pub fn dual_chrome_trace_json(virtual_session: &TraceSession, wall: &TraceSessio
     to_string(|out| dual_chrome_trace_to(out, virtual_session, wall))
 }
 
-/// Stream the dual-lane trace of [`dual_chrome_trace_json`] into `out`.
-pub fn dual_chrome_trace_to<W: Write>(
+/// The writer behind [`dual_chrome_trace_json`].
+fn dual_chrome_trace_to<W: Write>(
     out: &mut W,
     virtual_session: &TraceSession,
     wall: &TraceSession,
@@ -182,8 +177,8 @@ pub fn critical_chrome_trace_json(graph: &TaskGraph, path: &CriticalPath) -> Str
     to_string(|out| critical_chrome_trace_to(out, graph, path))
 }
 
-/// Stream the critical-path trace of [`critical_chrome_trace_json`].
-pub fn critical_chrome_trace_to<W: Write>(
+/// The writer behind [`critical_chrome_trace_json`].
+fn critical_chrome_trace_to<W: Write>(
     out: &mut W,
     graph: &TaskGraph,
     path: &CriticalPath,
@@ -331,16 +326,6 @@ mod tests {
     #[test]
     fn export_is_byte_deterministic() {
         assert_eq!(chrome_trace_json(&sample()), chrome_trace_json(&sample()));
-    }
-
-    #[test]
-    fn sink_writer_matches_string_wrapper() {
-        let mut buf = Vec::new();
-        chrome_trace_to(&mut buf, &sample()).unwrap();
-        assert_eq!(
-            String::from_utf8(buf).unwrap(),
-            chrome_trace_json(&sample())
-        );
     }
 
     #[test]

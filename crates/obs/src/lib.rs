@@ -66,20 +66,16 @@ pub mod roofline;
 pub mod stats;
 pub mod wall;
 
-pub use chrome::{
-    chrome_trace_json, chrome_trace_to, critical_chrome_trace_json, critical_chrome_trace_to,
-    dual_chrome_trace_json, dual_chrome_trace_to,
-};
+pub use chrome::{chrome_trace_json, critical_chrome_trace_json, dual_chrome_trace_json};
 pub use critical::{
     blend_factor, path_report, BlamedSpan, CriticalPath, GraphError, Node, PathReport, PathSegment,
     Plan, Rescale, Schedule, SegClass, Sent, Step, TaskGraph, TaskGraphBuilder,
 };
-pub use flame::{collapsed_stacks, collapsed_stacks_to};
+pub use flame::collapsed_stacks;
 pub use http::{MetricsServer, Response};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use merge::{
-    cluster_chrome_trace_json, cluster_chrome_trace_to, cluster_metrics_json,
-    cluster_virtual_trace_json, cluster_virtual_trace_to, NodeObs,
+    cluster_chrome_trace_json, cluster_metrics_json, cluster_virtual_trace_json, NodeObs,
 };
 pub use metrics::{metrics_json, phase_stats, PhaseStats};
 pub use netstats::{NetStats, NetStatsSnapshot};

@@ -8,9 +8,9 @@
 //! them into
 //!
 //! * one cluster Chrome trace with a *process per node lane group*
-//!   ([`cluster_chrome_trace_to`]) — virtual-time lanes plus, when
+//!   ([`cluster_chrome_trace_json`]) — virtual-time lanes plus, when
 //!   recorded, wall-clock lanes and the recovery lane;
-//! * a virtual-time-only variant ([`cluster_virtual_trace_to`]) that is
+//! * a virtual-time-only variant ([`cluster_virtual_trace_json`]) that is
 //!   **byte-deterministic**: virtual clocks are pure functions of seed
 //!   and fault plan, so two runs of the same configuration must produce
 //!   identical files (CI diffs them);
@@ -347,11 +347,8 @@ fn sorted(nodes: &[NodeObs]) -> Vec<&NodeObs> {
     v
 }
 
-/// Stream the full cluster Chrome trace: per node, a virtual-time
-/// process (pid `2·node+1`) and — when wall lanes were recorded — a
-/// wall-clock process (pid `2·node+2`) aligned onto the earliest wall
-/// epoch in the cluster. Recovery lanes ride inside each process.
-pub fn cluster_chrome_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
+/// The writer behind [`cluster_chrome_trace_json`].
+fn cluster_chrome_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
     let epoch0 = nodes
         .iter()
         .filter_map(|n| n.wall_epoch_unix)
@@ -375,16 +372,16 @@ pub fn cluster_chrome_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::
     out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
 }
 
-/// [`cluster_chrome_trace_to`] into a fresh `String`.
+/// Render the full cluster Chrome trace: per node, a virtual-time
+/// process (pid `2·node+1`) and — when wall lanes were recorded — a
+/// wall-clock process (pid `2·node+2`) aligned onto the earliest wall
+/// epoch in the cluster. Recovery lanes ride inside each process.
 pub fn cluster_chrome_trace_json(nodes: &[NodeObs]) -> String {
     to_string(|out| cluster_chrome_trace_to(out, nodes))
 }
 
-/// Stream the virtual-time-only cluster trace: same per-node process
-/// layout, wall lanes dropped. Virtual clocks are deterministic, so
-/// this export is **byte-identical across runs** of one configuration —
-/// CI's cross-run diff gate targets exactly this file.
-pub fn cluster_virtual_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
+/// The writer behind [`cluster_virtual_trace_json`].
+fn cluster_virtual_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
     let mut first = true;
     out.write_all(b"{\"traceEvents\":[\n")?;
     for n in sorted(nodes) {
@@ -395,7 +392,10 @@ pub fn cluster_virtual_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io:
     out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
 }
 
-/// [`cluster_virtual_trace_to`] into a fresh `String`.
+/// Render the virtual-time-only cluster trace: same per-node process
+/// layout, wall lanes dropped. Virtual clocks are deterministic, so
+/// this export is **byte-identical across runs** of one configuration —
+/// CI's cross-run diff gate targets exactly this file.
 pub fn cluster_virtual_trace_json(nodes: &[NodeObs]) -> String {
     to_string(|out| cluster_virtual_trace_to(out, nodes))
 }

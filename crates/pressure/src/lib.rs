@@ -28,7 +28,6 @@
 //! that regenerates the paper's curves on the virtual testbed, in
 //! [`PressureVariant::Base`] and [`PressureVariant::Optimized`] forms.
 
-pub mod async_spray;
 pub mod config;
 pub mod solver;
 pub mod spray;

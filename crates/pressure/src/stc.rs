@@ -1,10 +1,8 @@
 //! Optimized-STC: *real* task-based spray/solver overlap.
 //!
-//! [`super::async_spray`] measures the §IV-A communicator split on the
-//! virtual-time runtime with modelled per-step costs. This module is
-//! the execution-level counterpart: the actual Lagrangian spray update
-//! and the actual AMG-PCG pressure solve of
-//! [`MiniPressureSolver`] run as two
+//! This module runs the §IV-A communicator split at execution level:
+//! the actual Lagrangian spray update and the actual AMG-PCG pressure
+//! solve of [`MiniPressureSolver`] run as two
 //! tasks of one `cpx-par` pool dispatch, meeting at a per-step fence
 //! (the pool join — the shared-window `MPI_Win_fence` of the paper's
 //! organisation). The solver is the one [`MiniPressureSolver::new`]

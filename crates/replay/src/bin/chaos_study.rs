@@ -29,7 +29,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use cpx_comm::{
-    resilient_loop, run_node_obs, ClusterConfig, NodeObsOptions, RankOutcome, ResilientConfig,
+    ports_fit, resilient_loop, run_node_obs, ClusterConfig, NodeObsOptions, RankOutcome,
+    ResilientConfig,
 };
 use cpx_machine::{KernelCost, Machine};
 use cpx_obs::json::Json;
@@ -159,6 +160,17 @@ fn main() -> ExitCode {
             },
             _ => usage(),
         }
+    }
+
+    // A child meshes `NODES` ports; the parent gives each trial its own
+    // `NODES` mesh ports and `NODES` metrics ports. All must fit in u16.
+    let span = match current_node {
+        Some(_) => NODES,
+        None => trials.saturating_mul(NODES),
+    };
+    if !ports_fit(port, span) || metrics_port.is_some_and(|m| !ports_fit(m, span)) {
+        eprintln!("port range passes 65535");
+        usage();
     }
 
     let opts = ObsSetup {

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use cpx_comm::{run_node_obs, ClusterConfig, NodeObsOptions};
+use cpx_comm::{ports_fit, run_node_obs, ClusterConfig, NodeObsOptions};
 use cpx_obs::{
     cluster_chrome_trace_json, cluster_metrics_json, cluster_virtual_trace_json, NodeObs,
 };
@@ -73,6 +73,11 @@ fn main() -> ExitCode {
             "--obs-dir" => obs_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             _ => usage(),
         }
+    }
+
+    if !ports_fit(port, multiproc::NODES) {
+        eprintln!("port range passes 65535");
+        usage();
     }
 
     match current_node {

@@ -80,7 +80,9 @@ pub struct SellCSigma {
     nrows: usize,
     ncols: usize,
     nnz: usize,
+    /// Chunk height C.
     c: usize,
+    /// Sorting-window size σ.
     sigma: usize,
     /// Lane → row index.
     perm: Vec<u32>,
@@ -238,18 +240,6 @@ impl SellCSigma {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.nnz
-    }
-
-    /// Chunk height C.
-    #[inline]
-    pub fn c(&self) -> usize {
-        self.c
-    }
-
-    /// Sorting-window size σ.
-    #[inline]
-    pub fn sigma(&self) -> usize {
-        self.sigma
     }
 
     /// Fraction of entries whose columns use the compressed
