@@ -1,14 +1,12 @@
 //! Fault injection for the virtual-time runtime.
 //!
 //! A [`FaultPlan`] is a *seeded, declarative* description of the faults a
-//! run should experience: per-rank crashes at a given virtual time,
+//! run should experience: per-rank crashes at a given virtual time, and
 //! per-message link faults (drop / duplicate / delay / bit-flip
-//! corruption, each with a probability), and transient link-degradation
-//! windows during which the drop probability rises and latency is
-//! inflated. All fault decisions are **pure functions of the plan** — a
-//! message's fate is derived by hashing `(seed, src, dst,
-//! attempt-sequence)` — so two runs with the same plan inject
-//! byte-identical faults regardless of host scheduling.
+//! corruption, each with a probability). All fault decisions are **pure
+//! functions of the plan** — a message's fate is derived by hashing
+//! `(seed, src, dst, attempt-sequence)` — so two runs with the same plan
+//! inject byte-identical faults regardless of host scheduling.
 //! That is what makes resilience experiments on the virtual runtime
 //! reproducible: the same seed yields the same per-rank outcomes and the
 //! same [`crate::TimeReport`]s, bit for bit.
@@ -136,28 +134,6 @@ impl fmt::Display for CommError {
 
 impl Error for CommError {}
 
-/// A transient window of link degradation: while the sender's virtual
-/// clock is inside `[from, until)`, every message suffers `extra_drop`
-/// additional drop probability and its transfer time is multiplied by
-/// `delay_factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkDegradation {
-    /// Window start (virtual seconds).
-    pub from: f64,
-    /// Window end (virtual seconds, exclusive).
-    pub until: f64,
-    /// Drop probability added to the base rate inside the window.
-    pub extra_drop: f64,
-    /// Multiplier (≥ 1) applied to the point-to-point transfer time.
-    pub delay_factor: f64,
-}
-
-impl LinkDegradation {
-    fn active(&self, now: f64) -> bool {
-        now >= self.from && now < self.until
-    }
-}
-
 /// The per-message fate decided by a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkEvent {
@@ -166,8 +142,6 @@ pub struct LinkEvent {
     /// A duplicate copy is also delivered (the receiver's transport layer
     /// discards it, as a sequence-numbered protocol would).
     pub duplicated: bool,
-    /// Multiplier on the base transfer time (from degradation windows).
-    pub delay_factor: f64,
     /// Additive delivery jitter in virtual seconds.
     pub jitter: f64,
     /// `Some(entropy)` when the link flips a payload bit in flight; the
@@ -182,7 +156,6 @@ impl LinkEvent {
         LinkEvent {
             dropped: false,
             duplicated: false,
-            delay_factor: 1.0,
             jitter: 0.0,
             corrupt: None,
         }
@@ -212,11 +185,6 @@ pub struct FaultPlan {
     /// (silent data corruption on the link; caught by the payload CRC at
     /// the receiver and surfaced as [`CommError::Corrupted`]).
     pub corrupt_prob: f64,
-    /// Transient degradation windows (apply to all links).
-    pub degradations: Vec<LinkDegradation>,
-    /// Virtual seconds between a crash and surviving ranks being able to
-    /// observe it (failure-detector latency).
-    pub detect_latency: f64,
 }
 
 impl Default for FaultPlan {
@@ -248,8 +216,6 @@ impl FaultPlan {
             delay_prob: 0.0,
             delay_secs: 0.0,
             corrupt_prob: 0.0,
-            degradations: Vec::new(),
-            detect_latency: 1e-4,
         }
     }
 
@@ -292,15 +258,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a transient link-degradation window.
-    pub fn with_degradation(mut self, window: LinkDegradation) -> FaultPlan {
-        assert!(window.from <= window.until, "degradation window inverted");
-        assert!((0.0..=1.0).contains(&window.extra_drop));
-        assert!(window.delay_factor >= 1.0, "delay factor must be >= 1");
-        self.degradations.push(window);
-        self
-    }
-
     /// The crash schedule, sorted by rank.
     pub fn crashes(&self) -> &[(usize, f64)] {
         &self.crashes
@@ -322,31 +279,20 @@ impl FaultPlan {
             && self.dup_prob == 0.0
             && self.delay_prob == 0.0
             && self.corrupt_prob == 0.0
-            && self.degradations.is_empty()
     }
 
-    /// Decide the fate of send attempt `seq` from `src` to `dst` issued
-    /// at sender virtual time `now`. Pure: the same arguments always
-    /// yield the same event.
-    pub fn link_event(&self, src: usize, dst: usize, seq: u64, now: f64) -> LinkEvent {
+    /// Decide the fate of send attempt `seq` from `src` to `dst`. Pure:
+    /// the same arguments always yield the same event.
+    pub fn link_event(&self, src: usize, dst: usize, seq: u64) -> LinkEvent {
         if self.is_trivial() {
             return LinkEvent::clean();
-        }
-        let mut drop_p = self.drop_prob;
-        let mut factor = 1.0;
-        for w in &self.degradations {
-            if w.active(now) {
-                drop_p = (drop_p + w.extra_drop).min(1.0);
-                factor *= w.delay_factor;
-            }
         }
         let link =
             mix64(self.seed ^ ((src as u64) << 32 | dst as u64).wrapping_mul(0x9e3779b97f4a7c15));
         let h = mix64(link ^ mix64(seq ^ 0x00fa_0174));
         LinkEvent {
-            dropped: unit(mix64(h ^ 0xd80b)) < drop_p,
+            dropped: unit(mix64(h ^ 0xd80b)) < self.drop_prob,
             duplicated: unit(mix64(h ^ 0xd0bb)) < self.dup_prob,
-            delay_factor: factor,
             jitter: if unit(mix64(h ^ 0xde1a)) < self.delay_prob {
                 self.delay_secs
             } else {
@@ -516,8 +462,8 @@ mod tests {
             .with_dup_prob(0.2)
             .with_delay(0.5, 1e-5);
         for seq in 0..100 {
-            let a = plan.link_event(0, 1, seq, 0.5);
-            let b = plan.link_event(0, 1, seq, 0.5);
+            let a = plan.link_event(0, 1, seq);
+            let b = plan.link_event(0, 1, seq);
             assert_eq!(a, b);
         }
     }
@@ -526,7 +472,7 @@ mod tests {
     fn drop_rate_tracks_probability() {
         let plan = FaultPlan::new(7).with_drop_prob(0.25);
         let dropped = (0..10_000)
-            .filter(|&seq| plan.link_event(2, 5, seq, 0.0).dropped)
+            .filter(|&seq| plan.link_event(2, 5, seq).dropped)
             .count();
         let rate = dropped as f64 / 10_000.0;
         assert!((rate - 0.25).abs() < 0.03, "observed drop rate {rate}");
@@ -535,29 +481,9 @@ mod tests {
     #[test]
     fn links_decide_independently() {
         let plan = FaultPlan::new(9).with_drop_prob(0.5);
-        let a: Vec<bool> = (0..64)
-            .map(|s| plan.link_event(0, 1, s, 0.0).dropped)
-            .collect();
-        let b: Vec<bool> = (0..64)
-            .map(|s| plan.link_event(1, 0, s, 0.0).dropped)
-            .collect();
+        let a: Vec<bool> = (0..64).map(|s| plan.link_event(0, 1, s).dropped).collect();
+        let b: Vec<bool> = (0..64).map(|s| plan.link_event(1, 0, s).dropped).collect();
         assert_ne!(a, b, "link (0,1) and (1,0) should have distinct streams");
-    }
-
-    #[test]
-    fn degradation_window_applies_inside_only() {
-        let plan = FaultPlan::new(1).with_degradation(LinkDegradation {
-            from: 1.0,
-            until: 2.0,
-            extra_drop: 1.0,
-            delay_factor: 4.0,
-        });
-        let inside = plan.link_event(0, 1, 0, 1.5);
-        assert!(inside.dropped);
-        assert_eq!(inside.delay_factor, 4.0);
-        let outside = plan.link_event(0, 1, 0, 2.5);
-        assert!(!outside.dropped);
-        assert_eq!(outside.delay_factor, 1.0);
     }
 
     #[test]
@@ -576,14 +502,14 @@ mod tests {
         let plan = FaultPlan::new(13).with_corrupt_prob(0.2);
         assert!(!plan.is_trivial());
         let corrupted = (0..10_000)
-            .filter(|&seq| plan.link_event(1, 3, seq, 0.0).corrupt.is_some())
+            .filter(|&seq| plan.link_event(1, 3, seq).corrupt.is_some())
             .count();
         let rate = corrupted as f64 / 10_000.0;
         assert!((rate - 0.2).abs() < 0.03, "observed corruption rate {rate}");
         for seq in 0..100 {
             assert_eq!(
-                plan.link_event(1, 3, seq, 0.0).corrupt,
-                plan.link_event(1, 3, seq, 0.0).corrupt
+                plan.link_event(1, 3, seq).corrupt,
+                plan.link_event(1, 3, seq).corrupt
             );
         }
     }

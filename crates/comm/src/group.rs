@@ -3,7 +3,7 @@
 //! A [`Group`] is an ordered set of world ranks — the analogue of an MPI
 //! communicator. Collectives are implemented as the textbook algorithms
 //! (binomial trees for broadcast/reduce, their composition for allreduce
-//! and barrier, direct exchanges for gather/allgather/alltoallv) over the
+//! and barrier, direct exchanges for gather/allgather) over the
 //! runtime's point-to-point layer, so collective *timing* emerges from
 //! the same machine model everything else uses.
 //!
@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cpx_obs::RecoveryKind;
 
-use crate::fault::CommError;
+use crate::fault::{mix64, CommError};
 use crate::payload::Payload;
 use crate::runtime::{CollectiveOp, RankCtx};
 use crate::ReduceOp;
@@ -37,13 +37,6 @@ const INTERNAL: u64 = 1 << 63;
 /// dropped link. Detection of a dead peer is immediate (registry), so
 /// this bounds only the drop-retry loop.
 const COLLECTIVE_MAX_ATTEMPTS: u32 = 24;
-
-/// 64-bit mix (splitmix64 finalizer) for tag-space derivation.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// An ordered set of ranks acting as a communicator.
 ///
@@ -507,114 +500,6 @@ impl Group {
         r
     }
 
-    /// Allgather of `u64` values (one per member).
-    pub fn allgather_u64(&self, ctx: &mut RankCtx, value: u64) -> Vec<u64> {
-        let data = vec![f64::from_bits(value)];
-        self.allgather(ctx, data)
-            .into_iter()
-            .map(|v| v[0].to_bits())
-            .collect()
-    }
-
-    /// Personalised all-to-all: `sends[i]` goes to group member `i`;
-    /// returns what each member sent to us. Panics on unrecoverable
-    /// faults; see [`Group::try_alltoallv`].
-    pub fn alltoallv(&self, ctx: &mut RankCtx, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        Self::unwrap_coll(self.try_alltoallv(ctx, sends))
-    }
-
-    /// Fallible personalised all-to-all.
-    pub fn try_alltoallv(
-        &self,
-        ctx: &mut RankCtx,
-        sends: Vec<Vec<f64>>,
-    ) -> Result<Vec<Vec<f64>>, CommError> {
-        let p = self.size();
-        assert_eq!(sends.len(), p, "alltoallv needs one buffer per member");
-        let tag = self.next_tag();
-        let me = self.my_index;
-        ctx.obs_begin("alltoallv");
-        ctx.log_collective(CollectiveOp::Alltoallv);
-        let r = (|| {
-            let mut out: Vec<Vec<f64>> = vec![Vec::new(); p];
-            // Send everything (eager), keeping own contribution local.
-            for (i, buf) in sends.into_iter().enumerate() {
-                if i == me {
-                    out[me] = buf;
-                } else {
-                    self.fsend(ctx, i, tag, Payload::F64(buf))?;
-                }
-            }
-            for (i, slot) in out.iter_mut().enumerate() {
-                if i != me {
-                    *slot = self.frecv(ctx, i, tag)?.into_f64();
-                }
-            }
-            Ok(out)
-        })();
-        ctx.obs_end();
-        if let Err(ref e) = r {
-            self.abort_collective(ctx, &[tag], e);
-        }
-        r
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`): member `i` receives the
-    /// reduction of members `0..=i`. Implemented as a sequential chain —
-    /// the natural pattern for the particle global-numbering use case.
-    pub fn scan(&self, ctx: &mut RankCtx, op: ReduceOp, data: &mut [f64]) {
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let tag = self.next_tag();
-        let i = self.my_index;
-        if i > 0 {
-            let prefix = ctx.recv_tagged(self.ranks[i - 1], tag).into_f64();
-            let mine = data.to_vec();
-            data.copy_from_slice(&prefix);
-            op.apply(data, &mine);
-        }
-        if i + 1 < p {
-            ctx.send_tagged(self.ranks[i + 1], tag, Payload::F64(data.to_vec()));
-        }
-    }
-
-    /// Exclusive prefix reduction (`MPI_Exscan`): member `i` receives the
-    /// reduction of members `0..i`; member 0 receives `identity`.
-    pub fn exscan(&self, ctx: &mut RankCtx, op: ReduceOp, data: &mut [f64], identity: f64) {
-        let mine = data.to_vec();
-        self.scan(ctx, op, data);
-        // Convert inclusive to exclusive: undo our own contribution.
-        // For Sum this is a subtraction; Max/Min need the chain value,
-        // so recompute by shifting: member i's exclusive result is the
-        // inclusive result of member i−1.
-        match op {
-            ReduceOp::Sum => {
-                for (d, m) in data.iter_mut().zip(&mine) {
-                    *d -= m;
-                }
-            }
-            _ => {
-                // Shift the inclusive results right by one member.
-                let tag = self.next_tag();
-                let p = self.size();
-                let i = self.my_index;
-                if i + 1 < p {
-                    ctx.send_tagged(self.ranks[i + 1], tag, Payload::F64(data.to_vec()));
-                }
-                if i > 0 {
-                    let prev = ctx.recv_tagged(self.ranks[i - 1], tag).into_f64();
-                    data.copy_from_slice(&prev);
-                } else {
-                    for d in data.iter_mut() {
-                        *d = identity;
-                    }
-                }
-            }
-        }
-    }
-
     /// Split into disjoint sub-groups by `color`; members with equal
     /// color land in the same child, ordered by `key` then world rank.
     pub fn split(&self, ctx: &mut RankCtx, color: u64, key: u64) -> Group {
@@ -877,36 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_u64_roundtrip() {
-        let res = world().run(4, |ctx| {
-            let g = ctx.world();
-            g.allgather_u64(ctx, u64::MAX - ctx.rank() as u64)
-        });
-        for (all, _) in res {
-            assert_eq!(
-                all,
-                vec![u64::MAX, u64::MAX - 1, u64::MAX - 2, u64::MAX - 3]
-            );
-        }
-    }
-
-    #[test]
-    fn alltoallv_transpose() {
-        let res = world().run(3, |ctx| {
-            let g = ctx.world();
-            let me = ctx.rank() as f64;
-            // Send [me*10 + dst] to each dst.
-            let sends: Vec<Vec<f64>> = (0..3).map(|d| vec![me * 10.0 + d as f64]).collect();
-            g.alltoallv(ctx, sends)
-        });
-        for (r, (got, _)) in res.into_iter().enumerate() {
-            for (s, v) in got.iter().enumerate() {
-                assert_eq!(v[0], s as f64 * 10.0 + r as f64);
-            }
-        }
-    }
-
-    #[test]
     fn split_into_even_odd() {
         let res = world().run(6, |ctx| {
             let g = ctx.world();
@@ -987,49 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_computes_prefix_sums() {
-        let res = world().run(5, |ctx| {
-            let g = ctx.world();
-            let mut buf = vec![ctx.rank() as f64 + 1.0];
-            g.scan(ctx, ReduceOp::Sum, &mut buf);
-            buf[0]
-        });
-        for (i, (v, _)) in res.into_iter().enumerate() {
-            let want: f64 = (1..=i + 1).sum::<usize>() as f64;
-            assert_eq!(v, want, "rank {i}");
-        }
-    }
-
-    #[test]
-    fn exscan_sum_excludes_self() {
-        let res = world().run(4, |ctx| {
-            let g = ctx.world();
-            let mut buf = vec![10.0 * (ctx.rank() as f64 + 1.0)];
-            g.exscan(ctx, ReduceOp::Sum, &mut buf, 0.0);
-            buf[0]
-        });
-        assert_eq!(res[0].0, 0.0);
-        assert_eq!(res[1].0, 10.0);
-        assert_eq!(res[2].0, 30.0);
-        assert_eq!(res[3].0, 60.0);
-    }
-
-    #[test]
-    fn exscan_max_shifts_inclusive() {
-        let vals = [3.0f64, 9.0, 1.0, 5.0];
-        let res = world().run(4, move |ctx| {
-            let g = ctx.world();
-            let mut buf = vec![vals[ctx.rank()]];
-            g.exscan(ctx, ReduceOp::Max, &mut buf, f64::NEG_INFINITY);
-            buf[0]
-        });
-        assert_eq!(res[0].0, f64::NEG_INFINITY);
-        assert_eq!(res[1].0, 3.0);
-        assert_eq!(res[2].0, 9.0);
-        assert_eq!(res[3].0, 9.0);
-    }
-
-    #[test]
     fn collectives_survive_lossy_links() {
         use crate::fault::FaultPlan;
         let lossy = FaultPlan::new(21).with_drop_prob(0.25).with_dup_prob(0.1);
@@ -1096,22 +908,5 @@ mod tests {
                 o => panic!("rank {r}: expected Failed(PeerDead), got {o:?}"),
             }
         }
-    }
-
-    #[test]
-    fn scan_on_subgroup() {
-        let res = world().run(6, |ctx| {
-            let g = ctx.world();
-            let sub = g.split(ctx, (ctx.rank() % 2) as u64, ctx.rank() as u64);
-            let mut buf = vec![1.0];
-            sub.scan(ctx, ReduceOp::Sum, &mut buf);
-            buf[0]
-        });
-        // Each parity class is a 3-member chain: prefixes 1, 2, 3.
-        assert_eq!(res[0].0, 1.0);
-        assert_eq!(res[2].0, 2.0);
-        assert_eq!(res[4].0, 3.0);
-        assert_eq!(res[1].0, 1.0);
-        assert_eq!(res[5].0, 3.0);
     }
 }

@@ -19,9 +19,9 @@
 //!   modelled cluster, deterministically, regardless of host scheduling.
 //! * [`group::Group`] provides sub-communicators (`split`) and
 //!   collectives (barrier, broadcast, reduce, allreduce, gather,
-//!   allgather, alltoallv) implemented as binomial-tree / ring algorithms
-//!   over point-to-point messages, so their cost *emerges* from the same
-//!   p2p model the trace replayer uses.
+//!   allgather) implemented as binomial-tree / ring algorithms over
+//!   point-to-point messages, so their cost *emerges* from the same p2p
+//!   model the trace replayer uses.
 //!
 //! Functional runs validate the numerics and the communication patterns;
 //! the scaling figures use the trace replayer in `cpx-machine`, which is
@@ -32,9 +32,9 @@
 //! Large coupled runs occupy thousands of nodes for hours, where
 //! component failure is the norm rather than the exception — so the
 //! runtime can execute any rank program under a seeded
-//! [`fault::FaultPlan`] describing rank crashes (at a virtual time),
+//! [`fault::FaultPlan`] describing rank crashes (at a virtual time) and
 //! per-message link faults (drop / duplicate / delay / bit-flip
-//! corruption) and transient link-degradation windows:
+//! corruption):
 //!
 //! * [`World::run_with_plan`] returns a [`runtime::RankOutcome`] per
 //!   rank (completed value, crash time, the [`CommError`] that aborted
@@ -83,7 +83,7 @@ pub mod transport;
 
 pub use backoff::BackoffPolicy;
 pub use cluster::{free_ports, ports_fit, run_node_obs, ClusterConfig, NodeObsOptions, NodeRun};
-pub use fault::{BitFlipInjector, CommError, FaultPlan, LinkDegradation};
+pub use fault::{BitFlipInjector, CommError, FaultPlan};
 pub use group::Group;
 pub use net::TcpTransport;
 pub use payload::Payload;

@@ -66,6 +66,10 @@ const TIMEOUT_WALL_BUDGET: Duration = Duration::from_millis(250);
 /// this; the cap only guards pathological plans.
 const MAX_SEND_ATTEMPTS: u64 = 64;
 
+/// Virtual seconds between a crash and surviving ranks being able to
+/// observe it (failure-detector latency).
+const DETECT_LATENCY: f64 = 1e-4;
+
 /// Virtual-time accounting for one rank, returned by [`World::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TimeReport {
@@ -175,8 +179,6 @@ pub enum CollectiveOp {
     Gather,
     /// Ring allgather.
     Allgather,
-    /// Personalized all-to-all.
-    Alltoallv,
 }
 
 /// What one logged communication event was (see [`CommEvent`]).
@@ -494,13 +496,6 @@ impl RankCtx {
         }
     }
 
-    /// Exchange payloads with a peer (send then receive; safe because
-    /// sends are eager/buffered).
-    pub fn sendrecv(&mut self, peer: usize, tag: u32, payload: impl Into<Payload>) -> Payload {
-        self.send(peer, tag, payload);
-        self.recv(peer, tag)
-    }
-
     /// The communicator containing every rank.
     pub fn world(&self) -> Group {
         Group::world(self.size, self.rank)
@@ -547,7 +542,7 @@ impl RankCtx {
             *c += 1;
             s
         };
-        let event = self.plan.link_event(self.rank, dst, seq, self.clock);
+        let event = self.plan.link_event(self.rank, dst, seq);
         // The sender pays its software overhead whether or not the link
         // eats the message (it did issue the send).
         let bytes = payload.size_bytes();
@@ -573,8 +568,6 @@ impl RankCtx {
                 attempt: seq,
             });
         }
-        let base = self.machine.p2p_time(self.rank, dst, bytes);
-        let extra_delay = base * (event.delay_factor - 1.0) + event.jitter;
         // The CRC covers the payload as the sender intended it; a
         // fault-injected flip below mangles the data *after* the stamp,
         // exactly as corruption between NIC checksum domains would.
@@ -587,7 +580,7 @@ impl RankCtx {
             src: self.rank,
             tag,
             send_time,
-            extra_delay,
+            extra_delay: event.jitter,
             dup: false,
             abort: false,
             crc,
@@ -602,7 +595,7 @@ impl RankCtx {
                 src: self.rank,
                 tag,
                 send_time: pkt.send_time,
-                extra_delay,
+                extra_delay: event.jitter,
                 dup: true,
                 abort: false,
                 crc,
@@ -657,10 +650,10 @@ impl RankCtx {
     }
 
     /// Charge the failure-detection wait for a dead peer and build the
-    /// error. Deterministic: depends only on the crash time, the plan's
+    /// error. Deterministic: depends only on the crash time, the
     /// detection latency, and this rank's own clock.
     fn charge_peer_dead(&mut self, peer: usize, at: f64) -> CommError {
-        let detect = (at + self.plan.detect_latency - self.clock).max(0.0);
+        let detect = (at + DETECT_LATENCY - self.clock).max(0.0);
         self.clock += detect;
         self.comm_time += detect;
         self.recovery_time += detect;
@@ -673,7 +666,7 @@ impl RankCtx {
     /// carries the triggering failure's virtual time) and build the
     /// error.
     fn charge_revoked(&mut self, peer: usize, at: f64) -> CommError {
-        let detect = (at + self.plan.detect_latency - self.clock).max(0.0);
+        let detect = (at + DETECT_LATENCY - self.clock).max(0.0);
         self.clock += detect;
         self.comm_time += detect;
         self.recovery_time += detect;
@@ -1268,10 +1261,12 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges() {
+    fn eager_sends_let_both_ranks_send_first() {
         let res = world().run(2, |ctx| {
             let me = ctx.rank() as f64;
-            ctx.sendrecv(1 - ctx.rank(), 0, vec![me]).into_f64()[0]
+            let peer = 1 - ctx.rank();
+            ctx.send(peer, 0, vec![me]);
+            ctx.recv(peer, 0).into_f64()[0]
         });
         assert_eq!(res[0].0, 1.0);
         assert_eq!(res[1].0, 0.0);
@@ -1666,35 +1661,5 @@ mod tests {
                 .count(),
             4
         );
-    }
-
-    #[test]
-    fn degradation_window_slows_delivery() {
-        let elapsed_with = |plan: FaultPlan| {
-            let runs = world().run_with_plan(2, plan, |ctx| {
-                if ctx.rank() == 0 {
-                    ctx.compute_secs(0.5); // send from inside the window
-                    ctx.send(1, 0, vec![0.0f64; 1 << 16]);
-                    0.0
-                } else {
-                    let _ = ctx.recv(0, 0);
-                    ctx.now()
-                }
-            });
-            match runs[1].outcome {
-                RankOutcome::Completed(t) => t,
-                ref o => panic!("expected completion, got {o:?}"),
-            }
-        };
-        let clean = elapsed_with(FaultPlan::new(8));
-        let degraded = elapsed_with(FaultPlan::new(8).with_degradation(
-            crate::fault::LinkDegradation {
-                from: 0.0,
-                until: 1.0,
-                extra_drop: 0.0,
-                delay_factor: 50.0,
-            },
-        ));
-        assert!(degraded > clean, "degraded {degraded} clean {clean}");
     }
 }

@@ -18,12 +18,11 @@ fn world() -> World {
     World::new(Machine::archer2())
 }
 
-/// A rank program exercising every retry-aware collective plus the
-/// chain-based ones; returns a flat value signature for comparison.
+/// A rank program exercising every retry-aware collective; returns a
+/// flat value signature for comparison.
 fn collective_workout(ctx: &mut RankCtx) -> Vec<f64> {
     let g = ctx.world();
     let me = ctx.rank() as f64;
-    let n = ctx.size();
     let mut sig = Vec::new();
 
     sig.push(g.allreduce_scalar(ctx, ReduceOp::Sum, me + 1.0));
@@ -33,20 +32,11 @@ fn collective_workout(ctx: &mut RankCtx) -> Vec<f64> {
         sig.extend(part);
     }
 
-    let sends: Vec<Vec<f64>> = (0..n).map(|d| vec![me * 100.0 + d as f64]).collect();
-    for part in g.alltoallv(ctx, sends) {
-        sig.extend(part);
-    }
-
     if let Some(parts) = g.gather(ctx, 0, vec![me; ctx.rank() + 1]) {
         for part in parts {
             sig.extend(part);
         }
     }
-
-    let mut pref = vec![me + 1.0];
-    g.scan(ctx, ReduceOp::Sum, &mut pref);
-    sig.extend(pref);
 
     g.barrier(ctx);
     sig

@@ -1,10 +1,11 @@
 //! Silent-data-corruption events and recovery policy.
 //!
 //! The workspace detects SDC at four layers — ABFT checksums on the
-//! sparse kernels (`cpx-sparse`), checksummed halo exchange and CRC'd
-//! message payloads (`cpx-comm`), physics invariant guards in the
-//! mini-apps (`cpx-mgcfd`, `cpx-simpic`), and residual-monotonicity
-//! guards in the solver cycles (`cpx-amg`, `cpx-coupler`). This module
+//! sparse kernels (`cpx-sparse`), CRC'd message payloads (`cpx-comm`),
+//! physics invariant guards in the mini-apps (`cpx-mgcfd`,
+//! `cpx-simpic`), and residual-monotonicity guards in the solver cycles
+//! (`cpx-amg`, `cpx-coupler`); a halo-exchange checksum is modelled
+//! only ([`SdcSite::HaloExchange`]). This module
 //! is the bridge from *detection* to *recovery at scale*: it names the
 //! detection sites ([`SdcSite`]), the injected events a coupled study
 //! replays ([`SdcInjection`]) and the recovery policy the virtual run
@@ -20,8 +21,8 @@ pub enum SdcSite {
     /// A sparse-kernel operand or output (SpMV / SpGEMM); caught by the
     /// Huang–Abraham checksums of `cpx_sparse::abft`.
     SparseKernel,
-    /// A halo-exchange slot; caught by the per-peer checksum trailer of
-    /// `DistCsr::exchange_halo_checked`.
+    /// A halo-exchange slot; caught by a per-peer checksum trailer. The
+    /// trailer's cost is modelled: no distributed SpMV runs here.
     HaloExchange,
     /// A message payload on the link; caught by the CRC-64 the
     /// `cpx-comm` transport verifies on receive.

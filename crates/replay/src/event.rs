@@ -143,7 +143,6 @@ fn collective_op_tag(op: CollectiveOp) -> u8 {
         CollectiveOp::Barrier => 3,
         CollectiveOp::Gather => 4,
         CollectiveOp::Allgather => 5,
-        CollectiveOp::Alltoallv => 6,
     }
 }
 
@@ -155,7 +154,6 @@ fn collective_op_from(tag: u8) -> Option<CollectiveOp> {
         3 => CollectiveOp::Barrier,
         4 => CollectiveOp::Gather,
         5 => CollectiveOp::Allgather,
-        6 => CollectiveOp::Alltoallv,
         _ => return None,
     })
 }
@@ -791,6 +789,26 @@ mod tests {
         assert!(matches!(
             ReplayEvent::decode(&mut dec),
             Err(WireError::Invalid { .. })
+        ));
+        // No collective op has tag 6: a file holding it gets a typed
+        // error, not a wrong op.
+        let mut enc = Encoder::new();
+        ReplayEvent::CommCollective {
+            rank: 0,
+            op: CollectiveOp::Allgather,
+            vtime: 0.0,
+        }
+        .encode(&mut enc);
+        let mut bytes = enc.into_bytes();
+        // Layout: kind byte, rank varint (one byte for 0), op byte.
+        assert_eq!(bytes[2], 5);
+        bytes[2] = 6;
+        assert!(matches!(
+            ReplayEvent::decode(&mut Decoder::new(&bytes)),
+            Err(WireError::Invalid {
+                what: "unknown collective op",
+                ..
+            })
         ));
     }
 }

@@ -28,7 +28,6 @@ fn make_event(kind: u8, a: u64, b: u64, c: u64, flags: u8, t: f64) -> ReplayEven
         CollectiveOp::Barrier,
         CollectiveOp::Gather,
         CollectiveOp::Allgather,
-        CollectiveOp::Alltoallv,
     ];
     let sites = [
         cpx_core::SdcSite::SparseKernel,
@@ -97,7 +96,7 @@ fn make_event(kind: u8, a: u64, b: u64, c: u64, flags: u8, t: f64) -> ReplayEven
         },
         10 => ReplayEvent::CommCollective {
             rank: a,
-            op: ops[(b % 7) as usize],
+            op: ops[(b % 6) as usize],
             vtime: t,
         },
         11 => ReplayEvent::CommCrash { rank: a, vtime: t },

@@ -24,16 +24,13 @@
 //!   bit-identical to CSR's: a standalone kernel that `bench_kernels`
 //!   measures against CSR; no solver dispatches to it.
 //!
-//! It also provides the distribution machinery the solvers share:
-//! [`dist::DistCsr`] (row-block distributed CSR with halo exchange over
-//! `cpx-comm`) and [`partition`] (recursive coordinate bisection and
-//! greedy graph growing).
+//! It also provides [`partition`]: the recursive coordinate bisection
+//! the mesh partitioner runs, and the partition-quality metrics (load
+//! imbalance, halo sizes) it reports.
 //!
 //! For silent-data-corruption resilience, [`abft`] wraps the kernels
 //! with Huang–Abraham checksum verification ([`abft::AbftCsr`], the
-//! `*_checked` SpGEMM variants), and [`dist::DistCsr`] offers a
-//! checksummed halo exchange whose per-peer packets are verified after
-//! assembly.
+//! `*_checked` SpGEMM variants).
 //!
 //! The hot kernels (SpMV, SpGEMM, renumbering) execute on the
 //! `cpx-par` deterministic thread pool: chunk layout — and therefore
@@ -48,7 +45,6 @@
 pub mod abft;
 pub mod coo;
 pub mod csr;
-pub mod dist;
 pub mod partition;
 pub mod renumber;
 pub mod sell;
@@ -58,8 +54,7 @@ pub mod tridiag;
 pub use abft::{AbftCsr, AbftError};
 pub use coo::Coo;
 pub use csr::Csr;
-pub use dist::DistCsr;
-pub use partition::{greedy_graph_partition, rcb_partition, PartitionQuality};
+pub use partition::{rcb_partition, PartitionQuality};
 pub use sell::{SellCSigma, SELL_MAX_C};
 
 /// Operation counts for a sparse kernel invocation, used to drive the

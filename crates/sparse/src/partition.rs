@@ -1,13 +1,8 @@
-//! Mesh and matrix partitioners.
+//! Mesh partitioning.
 //!
-//! Two k-way partitioners used throughout the workspace:
-//!
-//! * [`rcb_partition`] — recursive coordinate bisection over entity
-//!   centroids: geometric, fast, deterministic, the standard choice for
-//!   the spatial decompositions in the mini-apps;
-//! * [`greedy_graph_partition`] — BFS-based greedy graph growing over an
-//!   adjacency structure (a symmetric CSR), used where coordinates are
-//!   unavailable (pure algebraic settings).
+//! [`rcb_partition`] is recursive coordinate bisection over entity
+//! centroids: a geometric, fast, deterministic k-way split, the one the
+//! mini-apps' spatial decompositions use.
 //!
 //! [`PartitionQuality`] measures what the performance model actually
 //! cares about: load imbalance and halo (cut) sizes, whose growth with
@@ -111,58 +106,6 @@ fn rcb_recurse(
         right_parts,
         assignment,
     );
-}
-
-/// Greedy BFS graph growing over a symmetric adjacency CSR: grow parts
-/// one at a time from the lowest-numbered unassigned vertex.
-pub fn greedy_graph_partition(adj: &Csr, parts: usize) -> Vec<usize> {
-    assert!(parts >= 1);
-    assert_eq!(adj.nrows(), adj.ncols(), "adjacency must be square");
-    let n = adj.nrows();
-    let mut assignment = vec![usize::MAX; n];
-    if n == 0 {
-        return assignment;
-    }
-    let target = n.div_ceil(parts);
-    let mut queue = std::collections::VecDeque::new();
-    let mut next_seed = 0usize;
-    for part in 0..parts {
-        let mut grown = 0usize;
-        // Cap the last part at "the rest".
-        let cap = if part + 1 == parts { n } else { target };
-        while grown < cap {
-            let v = match queue.pop_front() {
-                Some(v) if assignment[v] == usize::MAX => v,
-                Some(_) => continue,
-                None => {
-                    // Find the next unassigned seed.
-                    while next_seed < n && assignment[next_seed] != usize::MAX {
-                        next_seed += 1;
-                    }
-                    if next_seed >= n {
-                        break;
-                    }
-                    next_seed
-                }
-            };
-            assignment[v] = part;
-            grown += 1;
-            let (neigh, _) = adj.row(v);
-            for &u in neigh {
-                if assignment[u] == usize::MAX {
-                    queue.push_back(u);
-                }
-            }
-        }
-        queue.clear();
-    }
-    // Any leftovers (disconnected tails) go to the last part.
-    for a in assignment.iter_mut() {
-        if *a == usize::MAX {
-            *a = parts - 1;
-        }
-    }
-    assignment
 }
 
 /// Measure partition quality for `assignment` over adjacency `adj`.
@@ -271,20 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_covers_all_vertices() {
-        let (adj, _) = grid_adjacency(6, 6, 6);
-        for parts in [2, 4, 9] {
-            let a = greedy_graph_partition(&adj, parts);
-            assert!(a.iter().all(|&p| p < parts));
-            let mut loads = vec![0usize; parts];
-            for &p in &a {
-                loads[p] += 1;
-            }
-            assert!(loads.iter().all(|&l| l > 0));
-        }
-    }
-
-    #[test]
     fn quality_halo_grows_sublinearly() {
         // Surface-to-volume: doubling parts should grow total halo by
         // roughly 2^(1/3) per part dimension, not linearly per cell.
@@ -322,21 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn greedy_on_disconnected_graph() {
-        // Two disconnected vertices.
-        let adj = Csr::zeros(2, 2);
-        let a = greedy_graph_partition(&adj, 2);
-        assert_eq!(a.len(), 2);
-        assert!(a.iter().all(|&p| p < 2));
-    }
-
-    #[test]
     fn determinism() {
-        let (adj, coords) = grid_adjacency(10, 10, 4);
+        let (_, coords) = grid_adjacency(10, 10, 4);
         assert_eq!(rcb_partition(&coords, 8), rcb_partition(&coords, 8));
-        assert_eq!(
-            greedy_graph_partition(&adj, 8),
-            greedy_graph_partition(&adj, 8)
-        );
     }
 }
