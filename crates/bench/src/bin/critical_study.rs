@@ -364,12 +364,6 @@ fn main() -> ExitCode {
     let alg1_err = (graph_per_iter - alg1_per_iter).abs() / alg1_per_iter;
     let alg1_pass = alg1_err <= ALG1_TOLERANCE;
 
-    // ── Golden corpus: vtime-only analysis of the committed trace ──
-    let golden_trace =
-        cpx_replay::Trace::load(&repo_root().join("golden/multiproc_smoke/trace.cpxr"))
-            .expect("golden multiproc_smoke trace loads");
-    let golden_critical = cpx_replay::trace_critical(&golden_trace);
-
     // ── Artifacts ──────────────────────────────────────────────────
     let attr_json: Vec<Json> = names
         .iter()
@@ -454,7 +448,6 @@ fn main() -> ExitCode {
                 ("pass", Json::Bool(alg1_pass)),
             ]),
         ),
-        ("golden_multiproc_smoke", golden_critical.to_json(5)),
     ]);
     write_text(&out_path, &doc.write_pretty());
     write_text(&trace_path, &critical_chrome_trace_json(&graph, &path));

@@ -3,9 +3,10 @@
 //! A [`Group`] is an ordered set of world ranks — the analogue of an MPI
 //! communicator. Collectives are implemented as the textbook algorithms
 //! (binomial trees for broadcast/reduce, their composition for allreduce
-//! and barrier, direct exchanges for gather/allgather) over the
-//! runtime's point-to-point layer, so collective *timing* emerges from
-//! the same machine model everything else uses.
+//! and barrier, direct sends to the root for gather, gather then
+//! broadcast for allgather) over the runtime's point-to-point layer, so
+//! collective *timing* emerges from the same machine model everything
+//! else uses.
 //!
 //! Collective message tags live in a reserved internal space derived from
 //! the group's signature and a per-group sequence number, so collectives

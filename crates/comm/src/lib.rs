@@ -18,10 +18,11 @@
 //!   classic logical-time piggyback. The result: timing behaves like the
 //!   modelled cluster, deterministically, regardless of host scheduling.
 //! * [`group::Group`] provides sub-communicators (`split`) and
-//!   collectives (barrier, broadcast, reduce, allreduce, gather,
-//!   allgather) implemented as binomial-tree / ring algorithms over
-//!   point-to-point messages, so their cost *emerges* from the same p2p
-//!   model the trace replayer uses.
+//!   collectives over point-to-point messages: binomial-tree broadcast
+//!   and reduce, allreduce as reduce then broadcast, barrier as a
+//!   zero-byte allreduce, gather as direct sends to the root, and
+//!   allgather as a gather to member 0 then a broadcast. Their cost
+//!   *emerges* from the same p2p model the trace replayer uses.
 //!
 //! Functional runs validate the numerics and the communication patterns;
 //! the scaling figures use the trace replayer in `cpx-machine`, which is

@@ -177,7 +177,7 @@ pub enum CollectiveOp {
     Barrier,
     /// Gather to root.
     Gather,
-    /// Ring allgather.
+    /// Gather to member 0, then binomial-tree broadcast.
     Allgather,
 }
 

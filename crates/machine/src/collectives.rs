@@ -1,10 +1,11 @@
 //! Analytic cost models for MPI-style collectives.
 //!
-//! Both execution backends share these formulas: the discrete-event
-//! replayer charges them directly, and the threaded runtime in `cpx-comm`
-//! uses them to advance virtual clocks when a collective completes. The
-//! models are the textbook latency–bandwidth (α–β) expressions for the
-//! algorithms production MPIs use at these message sizes:
+//! The discrete-event replayer charges these formulas, and the task
+//! graph it records carries the same costs. The threaded runtime in
+//! `cpx-comm` does not use them: its collectives are sequences of
+//! point-to-point messages, so their cost follows from the p2p model.
+//! The models are the textbook latency–bandwidth (α–β) expressions for
+//! the algorithms production MPIs use at these message sizes:
 //!
 //! * broadcast / reduce — binomial tree: `⌈log2 p⌉ (α + nβ)`
 //! * allreduce — recursive doubling: `log2 p` rounds of `α + nβ` plus the

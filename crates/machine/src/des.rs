@@ -831,17 +831,19 @@ impl Replayer {
 mod tests {
     use super::*;
     use crate::cost::KernelCost;
-    use crate::model::MachineBuilder;
 
     fn simple_machine() -> Machine {
-        MachineBuilder::new("unit")
-            .cores_per_node(2)
-            .flops_per_core(1.0) // 1 flop = 1 second
-            .mem_bw_per_core(1.0)
-            .intra(0.5, 10.0)
-            .inter(1.0, 1.0)
-            .send_overhead(0.0)
-            .build()
+        Machine {
+            name: "unit".to_string(),
+            cores_per_node: 2,
+            flops_per_core: 1.0, // 1 flop = 1 second
+            mem_bw_per_core: 1.0,
+            intra_latency: 0.5,
+            intra_bandwidth: 10.0,
+            inter_latency: 1.0,
+            inter_bandwidth: 1.0,
+            send_overhead: 0.0,
+        }
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod trace;
 pub use cost::KernelCost;
 pub use des::{DesEvent, DesEventKind, ReplayError, ReplayOutcome, Replayer};
 pub use graph::{build_task_graph, collective_label, scale_compute_by_phase, validate_against_des};
-pub use model::{Machine, MachineBuilder};
+pub use model::Machine;
 pub use stats::TraceStats;
 pub use trace::{CollectiveKind, Op, PhaseId, RankTrace, TraceProgram};

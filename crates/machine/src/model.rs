@@ -141,64 +141,6 @@ impl Machine {
     }
 }
 
-/// Builder for custom machines (used by tests and ablation studies).
-#[derive(Debug, Clone)]
-pub struct MachineBuilder {
-    machine: Machine,
-}
-
-impl MachineBuilder {
-    /// Start from the ARCHER2 preset.
-    pub fn new(name: &str) -> Self {
-        let mut machine = Machine::archer2();
-        machine.name = name.to_string();
-        MachineBuilder { machine }
-    }
-
-    /// Set the number of cores per node.
-    pub fn cores_per_node(mut self, c: usize) -> Self {
-        self.machine.cores_per_node = c;
-        self
-    }
-
-    /// Set the sustained per-core FLOP rate.
-    pub fn flops_per_core(mut self, f: f64) -> Self {
-        self.machine.flops_per_core = f;
-        self
-    }
-
-    /// Set the per-core share of node memory bandwidth.
-    pub fn mem_bw_per_core(mut self, b: f64) -> Self {
-        self.machine.mem_bw_per_core = b;
-        self
-    }
-
-    /// Set inter-node latency (seconds) and bandwidth (bytes/s).
-    pub fn inter(mut self, latency: f64, bandwidth: f64) -> Self {
-        self.machine.inter_latency = latency;
-        self.machine.inter_bandwidth = bandwidth;
-        self
-    }
-
-    /// Set intra-node latency (seconds) and bandwidth (bytes/s).
-    pub fn intra(mut self, latency: f64, bandwidth: f64) -> Self {
-        self.machine.intra_latency = latency;
-        self.machine.intra_bandwidth = bandwidth;
-        self
-    }
-
-    /// Set the per-message sender-side software overhead.
-    pub fn send_overhead(mut self, o: f64) -> Self {
-        self.machine.send_overhead = o;
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> Machine {
-        self.machine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,16 +198,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides() {
-        let m = MachineBuilder::new("test")
-            .cores_per_node(4)
-            .flops_per_core(1.0)
-            .mem_bw_per_core(1.0)
-            .inter(1e-3, 1e6)
-            .intra(1e-6, 1e9)
-            .send_overhead(0.0)
-            .build();
-        assert_eq!(m.cores_per_node, 4);
+    fn a_custom_machine_uses_its_own_links() {
+        let m = Machine {
+            name: "test".to_string(),
+            cores_per_node: 4,
+            flops_per_core: 1.0,
+            mem_bw_per_core: 1.0,
+            intra_latency: 1e-6,
+            intra_bandwidth: 1e9,
+            inter_latency: 1e-3,
+            inter_bandwidth: 1e6,
+            send_overhead: 0.0,
+        };
         assert_eq!(m.node_of(5), 1);
         assert!((m.p2p_time(0, 4, 1000) - (1e-3 + 1e-3)).abs() < 1e-9);
     }

@@ -17,8 +17,6 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use std::io::{self, Write};
-
 use crate::critical::{CriticalPath, SegClass, TaskGraph};
 use crate::json::escape_str;
 use crate::{RecoveryKind, TraceSession};
@@ -29,15 +27,9 @@ pub const RECOVERY_LANE_TID: u32 = 1_000_000;
 
 /// Render a session as Chrome trace-event JSON (`{"traceEvents":[...]}`).
 pub fn chrome_trace_json(session: &TraceSession) -> String {
-    to_string(|out| chrome_trace_to(out, session))
-}
-
-/// The writer behind [`chrome_trace_json`].
-fn chrome_trace_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Result<()> {
-    let mut first = true;
-    out.write_all(b"{\"traceEvents\":[\n")?;
-    push_session_events(out, &mut first, session, 1, None)?;
-    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+    let mut events = Vec::new();
+    push_session_events(&mut events, session, 1, None);
+    trace_document(&events)
 }
 
 /// Render a *dual-lane* Chrome trace: the virtual-time session as
@@ -46,70 +38,48 @@ fn chrome_trace_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Result<
 /// process carries a `process_name` metadata record (`virtual time` /
 /// `wall clock`); lanes within a process are ranks as usual.
 pub fn dual_chrome_trace_json(virtual_session: &TraceSession, wall: &TraceSession) -> String {
-    to_string(|out| dual_chrome_trace_to(out, virtual_session, wall))
+    let mut events = Vec::new();
+    push_session_events(&mut events, virtual_session, 1, Some("virtual time"));
+    push_session_events(&mut events, wall, 2, Some("wall clock"));
+    trace_document(&events)
 }
 
-/// The writer behind [`dual_chrome_trace_json`].
-fn dual_chrome_trace_to<W: Write>(
-    out: &mut W,
-    virtual_session: &TraceSession,
-    wall: &TraceSession,
-) -> io::Result<()> {
-    let mut first = true;
-    out.write_all(b"{\"traceEvents\":[\n")?;
-    push_session_events(out, &mut first, virtual_session, 1, Some("virtual time"))?;
-    push_session_events(out, &mut first, wall, 2, Some("wall clock"))?;
-    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+/// Wrap rendered events in the trace-event document, one event a line.
+pub(crate) fn trace_document(events: &[String]) -> String {
+    format!(
+        "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
+        events.join(",\n")
+    )
 }
 
-/// Run a sink-writer into a fresh `String` (infallible for `Vec<u8>`).
-pub(crate) fn to_string(f: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
-    let mut buf = Vec::new();
-    f(&mut buf).expect("writing to a Vec cannot fail");
-    String::from_utf8(buf).expect("exporters emit UTF-8")
-}
-
-/// Emit one session's metadata, span, counter and recovery events under
+/// Push one session's metadata, span, counter and recovery events under
 /// `pid`. Shared with the cluster merge exporter, which calls it once
 /// per node process.
-pub(crate) fn push_session_events<W: Write>(
-    out: &mut W,
-    first: &mut bool,
+pub(crate) fn push_session_events(
+    events: &mut Vec<String>,
     session: &TraceSession,
     pid: u32,
     process_name: Option<&str>,
-) -> io::Result<()> {
+) {
     if let Some(pname) = process_name {
-        push_event(
-            out,
-            first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":{}}}}}",
-                escape_str(pname)
-            ),
-        )?;
+        events.push(format!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
+             \"args\":{{\"name\":{}}}}}",
+            escape_str(pname)
+        ));
     }
     for lane in &session.lanes {
-        push_event(
-            out,
-            first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"rank {}\"}}}}",
-                lane.rank, lane.rank
-            ),
-        )?;
+        events.push(format!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"rank {}\"}}}}",
+            lane.rank, lane.rank
+        ));
     }
     if session.total_recovery_events() > 0 {
-        push_event(
-            out,
-            first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{RECOVERY_LANE_TID},\
-                 \"name\":\"thread_name\",\"args\":{{\"name\":\"recovery\"}}}}"
-            ),
-        )?;
+        events.push(format!(
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{RECOVERY_LANE_TID},\
+             \"name\":\"thread_name\",\"args\":{{\"name\":\"recovery\"}}}}"
+        ));
     }
     for lane in &session.lanes {
         let mut spans: Vec<_> = lane.spans.iter().collect();
@@ -123,25 +93,23 @@ pub(crate) fn push_session_events<W: Write>(
                 .then(a.name.cmp(&b.name))
         });
         for span in spans {
-            let ev = format!(
+            events.push(format!(
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":{}}}",
                 lane.rank,
                 micros(span.start),
                 micros(span.duration()),
                 escape_str(&span.name)
-            );
-            push_event(out, first, &ev)?;
+            ));
         }
         for (name, value) in &lane.counters {
-            let ev = format!(
+            events.push(format!(
                 "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"name\":{},\
                  \"args\":{{\"value\":{}}}}}",
                 lane.rank,
                 micros(lane.finish),
                 escape_str(name),
                 value
-            );
-            push_event(out, first, &ev)?;
+            ));
         }
     }
     // Recovery instants, merged across ranks into one lane, ordered by
@@ -154,16 +122,14 @@ pub(crate) fn push_session_events<W: Write>(
         .collect();
     recovery.sort_by(|a, b| a.1.t.total_cmp(&b.1.t).then(a.0.cmp(&b.0)));
     for (rank, ev) in recovery {
-        let text = format!(
+        events.push(format!(
             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{RECOVERY_LANE_TID},\"ts\":{},\
              \"name\":{},\"s\":\"t\",\"args\":{{\"rank\":{rank},{}}}}}",
             micros(ev.t),
             escape_str(ev.kind.label()),
             recovery_args(&ev.kind)
-        );
-        push_event(out, first, &text)?;
+        ));
     }
-    Ok(())
 }
 
 /// Render a critical-path analysis as Chrome trace-event JSON: a
@@ -174,15 +140,6 @@ pub(crate) fn push_session_events<W: Write>(
 /// export stays viewer-sized while still showing which ranks the run
 /// actually waited on. Deterministic bytes, like every exporter here.
 pub fn critical_chrome_trace_json(graph: &TaskGraph, path: &CriticalPath) -> String {
-    to_string(|out| critical_chrome_trace_to(out, graph, path))
-}
-
-/// The writer behind [`critical_chrome_trace_json`].
-fn critical_chrome_trace_to<W: Write>(
-    out: &mut W,
-    graph: &TaskGraph,
-    path: &CriticalPath,
-) -> io::Result<()> {
     let phase_name = |p: u16| -> String {
         graph
             .phase_names
@@ -194,30 +151,20 @@ fn critical_chrome_trace_to<W: Write>(
     ranks.sort_unstable();
     ranks.dedup();
 
-    let mut first = true;
-    out.write_all(b"{\"traceEvents\":[\n")?;
-    push_event(
-        out,
-        &mut first,
+    let mut events = vec![
         "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"critical path\"}}",
-    )?;
-    push_event(
-        out,
-        &mut first,
+         \"args\":{\"name\":\"critical path\"}}"
+            .to_string(),
         "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\
-         \"args\":{\"name\":\"critical path\"}}",
-    )?;
+         \"args\":{\"name\":\"critical path\"}}"
+            .to_string(),
+    ];
     for &rank in &ranks {
-        push_event(
-            out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"rank {rank}\"}}}}",
-                rank + 1
-            ),
-        )?;
+        events.push(format!(
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"rank {rank}\"}}}}",
+            rank + 1
+        ));
     }
     for seg in &path.segments {
         let name = escape_str(&format!("{} · {}", seg.label, phase_name(seg.phase)));
@@ -232,21 +179,13 @@ fn critical_chrome_trace_to<W: Write>(
             micros(seg.dur()),
             seg.rank
         );
-        push_event(
-            out,
-            &mut first,
-            &format!("{{\"ph\":\"X\",\"pid\":1,\"tid\":0,{detail}}}"),
-        )?;
-        push_event(
-            out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},{detail}}}",
-                seg.rank + 1
-            ),
-        )?;
+        events.push(format!("{{\"ph\":\"X\",\"pid\":1,\"tid\":0,{detail}}}"));
+        events.push(format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},{detail}}}",
+            seg.rank + 1
+        ));
     }
-    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+    trace_document(&events)
 }
 
 /// Detail fields of one recovery instant. Group signatures are 64-bit
@@ -267,14 +206,6 @@ fn recovery_args(kind: &RecoveryKind) -> String {
         } => format!("\"sig\":\"{sig:016x}\",\"survivors\":{survivors},\"min_ckpt\":{min_ckpt}"),
         RecoveryKind::Rollback { to_iter } => format!("\"to_iter\":{to_iter}"),
     }
-}
-
-fn push_event<W: Write>(out: &mut W, first: &mut bool, ev: &str) -> io::Result<()> {
-    if !*first {
-        out.write_all(b",\n")?;
-    }
-    *first = false;
-    out.write_all(ev.as_bytes())
 }
 
 /// Virtual seconds → microsecond timestamp text with fixed precision.

@@ -16,7 +16,7 @@
 //! table of the nodes by id ([`Plan::nodes`]) that every per-node output
 //! is indexed by.
 //!
-//! Three analyses run on a graph:
+//! Two analyses run on a graph:
 //!
 //! * [`TaskGraph::schedule`] — one sweep over the plan that replays the
 //!   discrete-event semantics of `cpx_machine::des` *exactly* (same
@@ -28,9 +28,7 @@
 //! * [`TaskGraph::critical_path`] — the backward walk along binding
 //!   constraints from the finishing node, yielding a gap-free chain of
 //!   segments (compute, send overhead, wire transfer, collective) that
-//!   tiles `[0, makespan]`;
-//! * [`TaskGraph::slack`] — a latest-end pass giving, per node, how far
-//!   it could slip without moving the makespan (0 on the critical path).
+//!   tiles `[0, makespan]`.
 //!
 //! The **what-if engine** is the same sweep parameterised by a
 //! [`Rescale`]: scale any phase's compute cost (a hypothetical kernel
@@ -738,61 +736,6 @@ impl TaskGraph {
         }
     }
 
-    /// Per-node slack under `sched`, a schedule of this graph: how many
-    /// seconds the node's end could slip without moving the makespan.
-    /// Nodes on the critical path have slack 0 (up to float roundoff).
-    pub fn slack(&self, sched: &Schedule) -> Vec<f64> {
-        let r = &sched.rescale;
-        // Latest end by position, filled back to front: every node comes
-        // after its `prev` and its matched send, and a meet's members
-        // are consecutive and come before any member's successor.
-        let mut latest = vec![sched.makespan; self.id.len()];
-        let tighten = |latest: &mut [f64], p: Link, bound: f64| {
-            if p != NONE {
-                latest[p as usize] = latest[p as usize].min(bound);
-            }
-        };
-        for k in (0..self.id.len()).rev() {
-            let here = latest[k];
-            match self.step[k] {
-                Step::Meet => {
-                    let m = self.key[k] as usize;
-                    let block = self.members(m);
-                    // Seen from its last member, once all members'
-                    // dependents were processed, so their latests are
-                    // final: the meet may exit at the tightest one.
-                    if k + 1 == block.end {
-                        let exit = block
-                            .clone()
-                            .map(|p| latest[p])
-                            .fold(f64::INFINITY, f64::min);
-                        let entry_latest = exit - self.meets[m].cost;
-                        for p in block {
-                            tighten(&mut latest, self.prev(p), entry_latest);
-                        }
-                    }
-                }
-                Step::Recv => {
-                    // Elastic: the predecessor may run right up to this
-                    // node's latest end; the sender is constrained
-                    // through the wire.
-                    tighten(&mut latest, self.prev(k), here);
-                    let send = self.key[k];
-                    let bound = here - self.scaled_cost(k, r) + self.scaled_cost(send as usize, r);
-                    tighten(&mut latest, send, bound);
-                }
-                Step::Compute | Step::Send => {
-                    tighten(&mut latest, self.prev(k), here - self.scaled_cost(k, r));
-                }
-            }
-        }
-        self.nodes
-            .iter()
-            .zip(&sched.end)
-            .map(|(node, &end)| latest[node.pos as usize] - end)
-            .collect()
-    }
-
     /// Graph-wide per-phase attribution of every rank's time under
     /// `sched`, a schedule of this graph, summed in id order. There is a
     /// bucket for every named phase and every phase a node runs in.
@@ -1058,20 +1001,6 @@ mod tests {
         assert_eq!(g.what_if_makespan(&r).unwrap(), 5.0);
     }
 
-    #[test]
-    fn slack_is_zero_on_path_and_positive_off_it() {
-        let g = two_rank_graph();
-        let s = g.schedule(&Rescale::none()).unwrap();
-        let slack = g.slack(&s);
-        assert_eq!(slack[0], 0.0); // rank-0 compute: on path
-        assert_eq!(slack[3], 0.0); // the recv: the sink
-                                   // Rank-1 compute may slip until the arrival at t=5: 4s of slack.
-        assert_eq!(slack[2], 4.0);
-        // The send's *start* launches the binding transfer, so it is
-        // pinned too: zero slack.
-        assert_eq!(slack[1], 0.0);
-    }
-
     /// Two ranks compute 1s and 4s, then an allreduce costing 0.25.
     /// Ids: rank 0's compute and member are 0 and 1, rank 1's 2 and 3.
     fn two_rank_meet() -> TaskGraph {
@@ -1093,10 +1022,7 @@ mod tests {
         assert_eq!(path.segments.len(), 2);
         assert_eq!(path.segments[0].rank, 1);
         assert_eq!(path.segments[1].label, "allreduce");
-        let slack = g.slack(&s);
-        assert_eq!(slack[2], 0.0);
-        assert_eq!(slack[0], 3.0); // rank 0 may arrive 3s later
-                                   // Attribution: rank 0 waited 3s, both paid the 0.25 cost.
+        // Attribution: rank 0 waited 3s, both paid the 0.25 cost.
         let att = g.attribution(&s);
         assert_eq!(att.wait[0], 3.0);
         assert_eq!(att.comm[0], 0.5);
@@ -1157,11 +1083,12 @@ mod tests {
     }
 
     /// `two_rank_graph` under a rescale, checked against hand-derived
-    /// values: the transfer segment's span, per-phase compute and comm,
-    /// and every node's slack, the sender's included.
-    fn check_rescaled(r: Rescale, transfer: (f64, f64), compute: [f64; 3], slack: [f64; 4]) {
+    /// values: the makespan, the transfer segment's span, and per-phase
+    /// compute and comm.
+    fn check_rescaled(r: Rescale, makespan: f64, transfer: (f64, f64), compute: [f64; 3]) {
         let g = two_rank_graph();
         let s = g.schedule(&r).unwrap();
+        assert_eq!(s.makespan, makespan);
         let path = g.critical_path(&s);
         let seg = path.segments.iter().find(|x| x.label == "transfer");
         assert_eq!(seg.map(|x| (x.t0, x.t1)), Some(transfer));
@@ -1170,23 +1097,21 @@ mod tests {
         let att = g.attribution(&s);
         assert_eq!(att.compute, compute);
         assert_eq!(att.comm, [0.0, 0.5, 0.0]);
-        assert_eq!(g.slack(&s), slack);
     }
 
     #[test]
-    fn rescaled_path_attribution_and_slack_use_the_rescaled_costs() {
+    fn rescaled_path_and_attribution_use_the_rescaled_costs() {
         // Phase 1 (rank 0) twice as fast, phase 2 (rank 1) twice as
-        // slow: the send starts at 1.5 and arrives at 3.5; rank 1's
-        // compute ends at 2 and may slip 1.5. The send overhead is never
-        // rescaled.
+        // slow: the send starts at 1.5 and arrives at 3.5, after rank
+        // 1's compute ends at 2. The send overhead is never rescaled.
         check_rescaled(
             Rescale {
                 compute_by_phase: vec![1.0, 0.5, 2.0],
                 transfer_by_tag: vec![],
             },
+            3.5,
             (1.5, 3.5),
             [0.0, 1.5, 2.0],
-            [0.0, 0.0, 1.5, 0.0],
         );
         // Tag 7 on a wire twice as fast: the send still starts at 3, the
         // message arrives at 4.
@@ -1195,15 +1120,12 @@ mod tests {
                 compute_by_phase: vec![],
                 transfer_by_tag: vec![(7, 7, 0.5)],
             },
+            4.0,
             (3.0, 4.0),
             [0.0, 3.0, 1.0],
-            [0.0, 0.0, 3.0, 0.0],
         );
         // Both: rank 1's compute grows to 6 s and binds the receive, so
-        // the sender gets slack, and how much depends on the rescaled
-        // wire time: its message may leave as late as 6 - 1 = 5, so the
-        // send may end at 5.5 (2 s later) rather than at 4.5 with the
-        // unscaled wire.
+        // the message, in at 3 + 1 = 4, leaves the path.
         let r = Rescale {
             compute_by_phase: vec![1.0, 1.0, 6.0],
             transfer_by_tag: vec![(0, 9, 0.5)],
@@ -1214,7 +1136,6 @@ mod tests {
         let path = g.critical_path(&s);
         assert_eq!(path.segments.len(), 1);
         assert_eq!(path.compute_s(), 6.0);
-        assert_eq!(g.slack(&s), [2.0, 2.0, 0.0, 0.0]);
         let att = g.attribution(&s);
         assert_eq!(att.compute, [0.0, 3.0, 6.0]);
         assert_eq!(att.wait, [0.0, 0.0, 0.0]);

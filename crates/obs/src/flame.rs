@@ -9,17 +9,11 @@
 //! deterministic.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write};
 
 use crate::TraceSession;
 
 /// Render a session as collapsed-stack text.
 pub fn collapsed_stacks(session: &TraceSession) -> String {
-    crate::chrome::to_string(|out| collapsed_stacks_to(out, session))
-}
-
-/// The writer behind [`collapsed_stacks`].
-fn collapsed_stacks_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Result<()> {
     let mut totals: BTreeMap<String, u64> = BTreeMap::new();
     for lane in &session.lanes {
         for span in &lane.spans {
@@ -37,10 +31,10 @@ fn collapsed_stacks_to<W: Write>(out: &mut W, session: &TraceSession) -> io::Res
             *totals.entry(key).or_insert(0) += ns;
         }
     }
-    for (stack, ns) in &totals {
-        writeln!(out, "{stack} {ns}")?;
-    }
-    Ok(())
+    totals
+        .iter()
+        .map(|(stack, ns)| format!("{stack} {ns}\n"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -38,9 +38,7 @@
 //! shift works to clock-sync accuracy; refining it with the heartbeat
 //! round-trip estimate is sketched in DESIGN.md.
 
-use std::io::{self, Write};
-
-use crate::chrome::{push_session_events, to_string};
+use crate::chrome::{push_session_events, trace_document};
 use crate::json::{field, FromJson, Json, JsonError, ToJson};
 use crate::metrics::metrics_json;
 use crate::netstats::NetStatsSnapshot;
@@ -347,18 +345,20 @@ fn sorted(nodes: &[NodeObs]) -> Vec<&NodeObs> {
     v
 }
 
-/// The writer behind [`cluster_chrome_trace_json`].
-fn cluster_chrome_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
+/// Render the full cluster Chrome trace: per node, a virtual-time
+/// process (pid `2·node+1`) and — when wall lanes were recorded — a
+/// wall-clock process (pid `2·node+2`) aligned onto the earliest wall
+/// epoch in the cluster. Recovery lanes ride inside each process.
+pub fn cluster_chrome_trace_json(nodes: &[NodeObs]) -> String {
     let epoch0 = nodes
         .iter()
         .filter_map(|n| n.wall_epoch_unix)
         .fold(f64::INFINITY, f64::min);
-    let mut first = true;
-    out.write_all(b"{\"traceEvents\":[\n")?;
+    let mut events = Vec::new();
     for n in sorted(nodes) {
         let pid = (n.node as u32) * 2 + 1;
         let pname = format!("node {} \u{b7} virtual time", n.node);
-        push_session_events(out, &mut first, &n.virt, pid, Some(&pname))?;
+        push_session_events(&mut events, &n.virt, pid, Some(&pname));
         if let Some(wall) = &n.wall {
             let dt = match n.wall_epoch_unix {
                 Some(e) if e.is_finite() && epoch0.is_finite() => e - epoch0,
@@ -366,30 +366,10 @@ fn cluster_chrome_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Resu
             };
             let shifted = shift_session(wall, dt);
             let pname = format!("node {} \u{b7} wall clock", n.node);
-            push_session_events(out, &mut first, &shifted, pid + 1, Some(&pname))?;
+            push_session_events(&mut events, &shifted, pid + 1, Some(&pname));
         }
     }
-    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
-}
-
-/// Render the full cluster Chrome trace: per node, a virtual-time
-/// process (pid `2·node+1`) and — when wall lanes were recorded — a
-/// wall-clock process (pid `2·node+2`) aligned onto the earliest wall
-/// epoch in the cluster. Recovery lanes ride inside each process.
-pub fn cluster_chrome_trace_json(nodes: &[NodeObs]) -> String {
-    to_string(|out| cluster_chrome_trace_to(out, nodes))
-}
-
-/// The writer behind [`cluster_virtual_trace_json`].
-fn cluster_virtual_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Result<()> {
-    let mut first = true;
-    out.write_all(b"{\"traceEvents\":[\n")?;
-    for n in sorted(nodes) {
-        let pid = (n.node as u32) * 2 + 1;
-        let pname = format!("node {} \u{b7} virtual time", n.node);
-        push_session_events(out, &mut first, &n.virt, pid, Some(&pname))?;
-    }
-    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+    trace_document(&events)
 }
 
 /// Render the virtual-time-only cluster trace: same per-node process
@@ -397,7 +377,13 @@ fn cluster_virtual_trace_to<W: Write>(out: &mut W, nodes: &[NodeObs]) -> io::Res
 /// this export is **byte-identical across runs** of one configuration —
 /// CI's cross-run diff gate targets exactly this file.
 pub fn cluster_virtual_trace_json(nodes: &[NodeObs]) -> String {
-    to_string(|out| cluster_virtual_trace_to(out, nodes))
+    let mut events = Vec::new();
+    for n in sorted(nodes) {
+        let pid = (n.node as u32) * 2 + 1;
+        let pname = format!("node {} \u{b7} virtual time", n.node);
+        push_session_events(&mut events, &n.virt, pid, Some(&pname));
+    }
+    trace_document(&events)
 }
 
 /// Aggregate per-node metrics and transport counters into one snapshot:

@@ -24,7 +24,6 @@
 //! * [`golden`] — the committed `golden/<scenario>/` corpus and its
 //!   record/check machinery; the `golden_check` binary drives it in CI.
 
-pub mod critical;
 pub mod divergence;
 pub mod event;
 pub mod format;
@@ -32,7 +31,6 @@ pub mod golden;
 pub mod launcher;
 pub mod multiproc;
 
-pub use critical::{trace_critical, TraceCritical, TraceSpan};
 pub use divergence::{verify, DivergenceError};
 pub use event::ReplayEvent;
 pub use format::{Trace, TraceError, MAGIC, SCHEMA_VERSION};
